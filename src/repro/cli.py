@@ -87,19 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--time-limit", type=float, default=30.0)
     report.add_argument("--verilog", action="store_true", help="also print Verilog")
     report.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="frontier nodes expanded concurrently per branch-and-bound round",
-    )
-    report.add_argument(
-        "--executor",
-        choices=("auto", "thread", "process"),
-        default="auto",
-        help="parallel frontier executor (auto resolves to processes when "
-        "the problem pickles); the resolved mode is printed after training",
-    )
-    report.add_argument(
         "--branching",
         choices=("problem", "pseudocost"),
         default="problem",
@@ -667,8 +654,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
                 method="lda-fp",
                 ldafp=LdaFpConfig(
                     time_limit=args.time_limit,
-                    workers=args.workers,
-                    executor=args.executor,
                     branching=args.branching,
                     presolve=not args.no_presolve,
                     symmetry_cuts=not args.no_symmetry_cuts,
@@ -678,12 +663,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
         trace = SolverTrace() if args.trace else None
         result = pipeline.run(train, test, args.word_length, trace=trace)
         print(build_report(result.classifier, test_error=result.test_error).text)
-        report_obj = result.ldafp_report
-        if report_obj is not None and args.workers > 1:
-            line = f"solver executor: {report_obj.executor}"
-            if report_obj.executor_fallback:
-                line += f" (fallback: {report_obj.executor_fallback})"
-            print(line)
         if trace is not None:
             trace.save(args.trace)
             print(

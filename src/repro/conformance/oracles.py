@@ -4,8 +4,8 @@ The repo carries four independent implementations of the same bit-exact
 semantics: the per-sample reference datapath
 (:class:`~repro.fixedpoint.datapath.FixedPointDatapath`), the vectorized
 serving engine (int64 fast path and object fallback), the ``repro.check``
-abstract-interpretation certifier, and the parallel solver/sweep engines
-with their serial baselines.  Each *pair* is differentially tested
+abstract-interpretation certifier, and the accelerated solver and sweep
+engine with their plain baselines.  Each *pair* is differentially tested
 somewhere in ``tests/``, but those checks were written ad hoc per PR.  An
 **oracle** packages one such cross-check as an object the fuzz driver can
 enumerate: a hypothesis strategy producing JSON-able cases, and a ``check``
@@ -338,7 +338,7 @@ class CertifierReplayOracle(Oracle):
 
 
 # --------------------------------------------------------------------- #
-# 5. Parallel branch-and-bound vs the serial driver
+# 5. Presolve/cuts-accelerated solver vs the plain solver and brute force
 # --------------------------------------------------------------------- #
 def _solver_instance(seed: int):
     """A small deterministic LDA-FP instance (dataset, format) from a seed."""
@@ -354,47 +354,6 @@ def _solver_instance(seed: int):
     return Dataset.from_class_arrays(a, b), QFormat(2, int(rng.integers(1, 4)))
 
 
-class SolverParallelOracle(Oracle):
-    """The parallel frontier merge must reproduce the serial solver's
-    result exactly: weights, cost, lower bound, proof status, stop reason."""
-
-    name = "solver-parallel-serial"
-    description = "optim.bnb workers>1 vs workers=1 on random LDA-FP instances"
-    default_examples = 2
-
-    def strategy(self) -> st.SearchStrategy:
-        return st.fixed_dictionaries(
-            {"seed": st.integers(min_value=0, max_value=10**6)}
-        )
-
-    def check(self, case: dict) -> None:
-        from ..core.ldafp import LdaFpConfig, train_lda_fp
-
-        dataset, fmt = _solver_instance(int(case["seed"]))
-        results = {}
-        for workers in (1, 2):
-            config = LdaFpConfig(max_nodes=400, time_limit=None, workers=workers)
-            classifier, report = train_lda_fp(dataset, fmt, config)
-            results[workers] = (classifier, report)
-        (c1, r1), (c2, r2) = results[1], results[2]
-        if not np.array_equal(c1.weights, c2.weights) or c1.threshold != c2.threshold:
-            self.fail(
-                f"parallel solution diverges: {c2.weights}/{c2.threshold} != "
-                f"{c1.weights}/{c1.threshold}",
-                case,
-            )
-        for field in ("cost", "lower_bound", "proven_optimal", "stop_reason"):
-            if getattr(r1, field) != getattr(r2, field):
-                self.fail(
-                    f"report field {field!r}: parallel {getattr(r2, field)} != "
-                    f"serial {getattr(r1, field)}",
-                    case,
-                )
-
-
-# --------------------------------------------------------------------- #
-# 5b. Presolve/cuts-accelerated solver vs the plain solver and brute force
-# --------------------------------------------------------------------- #
 class PresolveVsPlainOracle(Oracle):
     """The acceleration layer (node presolve, spectral cone reduction,
     symmetry cuts, guided branching) must be result-neutral: on exact-gap
@@ -980,7 +939,6 @@ ALL_ORACLES = (
     WireRoundtripOracle(),
     StreamVsBatchOracle(),
     CertifierReplayOracle(),
-    SolverParallelOracle(),
     PresolveVsPlainOracle(),
     SweepNaiveOracle(),
     ClusterVsSingleOracle(),

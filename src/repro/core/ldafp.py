@@ -99,14 +99,6 @@ class LdaFpConfig:
         ``benchmarks/test_ablations.py``.
     warm_start:
         Seed the incumbent with rounded conventional LDA.
-    workers:
-        Frontier nodes expanded concurrently per branch-and-bound round
-        (``1`` = serial).  The parallel merge replays the serial pruning
-        logic, so results match the serial driver.
-    executor:
-        Parallel executor: ``"process"``, ``"thread"``, or ``"auto"``
-        (process pool when the problem pickles).  The resolved mode and any
-        fallback reason land in :class:`LdaFpReport`.
     presolve:
         Run the MIP-style node presolve (FBBT over the Eq. 18/20 rows,
         grid snapping, incumbent ellipsoid reduction) in place of the plain
@@ -141,8 +133,6 @@ class LdaFpConfig:
     search_strategy: str = "best-first"
     warm_start: bool = True
     rounding: RoundingMode = RoundingMode.NEAREST_AWAY
-    workers: int = 1
-    executor: str = "auto"
     presolve: bool = True
     symmetry_cuts: bool = True
     branching: str = "problem"
@@ -150,10 +140,6 @@ class LdaFpConfig:
     def __post_init__(self) -> None:
         if self.backend not in ("barrier", "slsqp", "auto"):
             raise InputValidationError(f"unknown backend {self.backend!r}")
-        if self.workers < 1:
-            raise InputValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.executor not in ("auto", "thread", "process"):
-            raise InputValidationError(f"unknown executor {self.executor!r}")
         if self.branching not in ("problem", "pseudocost"):
             raise InputValidationError(f"unknown branching {self.branching!r}")
 
@@ -176,26 +162,19 @@ class LdaFpReport:
     seeds_injected: int = 0
     seeds_rejected: int = 0
     seeds_adopted: int = 0
-    executor: str = "serial"
-    executor_fallback: str = ""
     symmetry_pruned: int = 0
 
 
 class LdaFpNodeProblem:
     """Adapter exposing :class:`LdaFpProblem` to the generic B&B driver.
 
-    The adapter is picklable, so ``executor="auto"`` resolves to a
-    *process* pool.  Every incumbent-dependent decision inside a relaxation
-    (the analytic skip, the presolve ellipsoid reduction) is driven by the
-    incumbent snapshot the driver recorded when the node was pushed
-    (``relax_child_with_incumbent``), never by the adapter's own
-    ``_best_cost`` — a process worker's copy of that field is stale, and
-    using it would make worker relaxations diverge from the serial ones.
-    Warm-start hints flow through the parent's relaxation solution instead
-    of mutable instance state, so concurrent child relaxations cannot race
-    on them either.  ``candidates`` (which *does* read and advance the
-    shared heuristic state) runs only on the driver side, at merge sequence
-    points that are identical across executor modes.
+    Every incumbent-dependent decision inside a child relaxation (the
+    analytic skip, the presolve ellipsoid reduction) is driven by the
+    incumbent snapshot the driver recorded when the parent was pushed
+    (``relax_child_with_incumbent``), not by the adapter's own
+    ``_best_cost``, which ``candidates`` advances as new incumbents appear.
+    Warm-start hints flow through the parent's relaxation solution rather
+    than mutable instance state.
     """
 
     def __init__(self, problem: LdaFpProblem, config: LdaFpConfig) -> None:
@@ -219,9 +198,8 @@ class LdaFpNodeProblem:
     def initial_box(self) -> Box:
         """The searched root: the Eq. 28-29 box, presolve-tightened.
 
-        Root presolve runs against the warm-start incumbent (set by the
-        trainer before the solve), in the driver process, exactly once —
-        so it is identical across executor modes.  A presolve-infeasible
+        Root presolve runs exactly once, against the warm-start incumbent
+        (set by the trainer before the solve).  A presolve-infeasible
         verdict at the root would contradict the validated incumbent, so
         it is treated as a numerical artifact and the plain root is kept.
         """
@@ -261,12 +239,9 @@ class LdaFpNodeProblem:
 
     # ------------------------------------------------------------------ #
     def relax(self, box: Box) -> Relaxation:
-        # Root relaxation: runs on the driver before any parallelism, so the
-        # live incumbent cost is the correct (and deterministic) snapshot.
+        # Root relaxation: runs once before the search starts, against the
+        # adapter's own incumbent cost.
         return self._relax(box, hint=None, ctx=self._best_cost)
-
-    def relax_child(self, box: Box, parent_relaxation: Relaxation) -> Relaxation:
-        return self._relax(box, hint=parent_relaxation.solution, ctx=self._best_cost)
 
     def relax_child_with_incumbent(
         self, box: Box, parent_relaxation: Relaxation, incumbent: float
@@ -280,7 +255,7 @@ class LdaFpNodeProblem:
         if self._presolver is not None:
             # MIP-style presolve: t-link FBBT over the Eq. 18/20 rows, grid
             # snapping, and the incumbent ellipsoid reduction — against the
-            # push-time incumbent snapshot, for executor determinism.
+            # push-time incumbent snapshot.
             reduced = self._presolver.presolve(w_lo, w_hi, t_lo, t_hi, incumbent=ctx)
             if not reduced.feasible:
                 return Relaxation(lower_bound=np.inf)
@@ -315,7 +290,7 @@ class LdaFpNodeProblem:
         # that are infeasible or worse than the incumbent snapshot, which
         # need no mirror): a proven-covered box is discarded outright — its
         # surviving points all have feasible equal-cost mirrors on the kept
-        # side.  Pure function of the box, identical in every worker.
+        # side.  Pure function of the box.
         if self._cut is not None and self._cut.covered(node_box):
             self.symmetry_pruned += 1
             return Relaxation(lower_bound=np.inf)
@@ -460,25 +435,11 @@ class LdaFpNodeProblem:
 
     def branch(self, box: Box, relaxation: Relaxation) -> Sequence[Box]:
         # Children get the parent's relaxation solution as warm start via
-        # relax_child; branching itself is pure.
+        # relax_child_with_incumbent; branching itself is pure.
         forced = self.branch_override(box, relaxation)
         if forced is not None:
             return list(forced)
         return list(box.split(self.branch_dimension(box, relaxation)))
-
-    # ------------------------------------------------------------------ #
-    def counters_snapshot(self) -> dict:
-        """Adapter-side counters a process worker ships back as deltas."""
-        return {
-            "relaxations_solved": self.relaxations_solved,
-            "backend_fallbacks": self.backend_fallbacks,
-            "symmetry_pruned": self.symmetry_pruned,
-        }
-
-    def counters_absorb(self, delta: dict) -> None:
-        self.relaxations_solved += delta.get("relaxations_solved", 0)
-        self.backend_fallbacks += delta.get("backend_fallbacks", 0)
-        self.symmetry_pruned += delta.get("symmetry_pruned", 0)
 
     # ------------------------------------------------------------------ #
     def is_terminal(self, box: Box) -> bool:
@@ -746,8 +707,6 @@ def train_lda_fp(
                 absolute_gap=config.absolute_gap,
                 relative_gap=config.relative_gap,
                 strategy=config.search_strategy,
-                workers=config.workers,
-                executor=config.executor,
                 branching=config.branching,
             )
         )
@@ -794,8 +753,6 @@ def train_lda_fp(
         seeds_injected=len(seed_candidates),
         seeds_rejected=seeds_rejected,
         seeds_adopted=result.stats.seeds_adopted,
-        executor=result.stats.executor,
-        executor_fallback=result.stats.executor_fallback,
         symmetry_pruned=node_problem.symmetry_pruned,
     )
     return classifier, report

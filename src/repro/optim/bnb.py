@@ -10,28 +10,14 @@ target is met, or a node/time budget runs out — in which case the incumbent
 is returned with ``proven_optimal=False`` and
 ``BranchAndBoundStats.stop_reason`` records why.
 
-Parallel frontier expansion (``BranchAndBoundConfig.workers > 1``): each
-round pops up to ``workers`` frontier nodes, solves their child relaxations
-concurrently (``concurrent.futures``; a process pool when the problem is
-picklable, threads otherwise — the resolved choice and any fallback reason
-are recorded in :class:`BranchAndBoundStats` and the trace), then *merges*
-the speculative expansions on the main thread in pop order, re-applying the
-exact serial prune / gap / incumbent logic against the shared incumbent.  A
-node whose bound loses to an incumbent improvement made earlier in the same
-round is discarded along with its speculative children — precisely as the
-serial driver would have pruned it — so the merged search makes the same
-decisions as the serial one and returns the same
-``(cost, lower_bound, proven_optimal)``.
-
-Determinism across executor modes rests on two invariants.  First, heap
-ties on equal bounds break on a monotone sequence counter assigned at push
-time, and pushes happen in merge (= pop) order, so serial, thread, and
-process runs expand byte-identical node sequences.  Second, every
-incumbent-dependent decision made *inside* a relaxation is driven by the
-incumbent snapshot recorded when the node was pushed (threaded through
-``relax_child_with_incumbent``), never by live shared state — a process
-worker holding a stale problem copy therefore returns exactly what the
-serial driver would have computed.
+The frontier is expanded serially, one node at a time, as in the paper.
+Without a time budget the node sequence is a pure function of the problem
+and the config: heap ties on equal bounds break on a monotone sequence
+counter assigned at push time, and every incumbent-dependent decision made
+*inside* a relaxation is driven by the incumbent snapshot recorded when the
+node was pushed (threaded through ``relax_child_with_incumbent``), not by
+the incumbent at expansion time.  The snapshot is part of the search's
+definition: recorded node counts depend on it.
 
 Branching: the default (``branching="problem"``) delegates to
 ``problem.branch``.  ``branching="pseudocost"`` keeps per-dimension
@@ -40,22 +26,18 @@ width, separately for the down/up child) and branches on the dimension
 with the best product score, falling back to the problem's fixed order
 (``branch_dimension`` hook, else widest-in-quanta) until both sides of
 every candidate dimension have been observed.  The branching dimension is
-chosen at *push* time from the table state at that sequence point, so
-pseudocost runs are also executor-deterministic.
+chosen at *push* time from the table state at that sequence point.
 
 Telemetry: pass a :class:`~repro.optim.trace.SolverTrace` to
 :meth:`BranchAndBoundSolver.solve` to record typed events (expand, prune,
-infeasible, incumbent, gap progress, executor resolution) with a periodic
-progress callback and JSON export.
+infeasible, incumbent, gap progress) with a periodic progress callback and
+JSON export.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import heapq
 import itertools
-import multiprocessing
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
@@ -122,8 +104,7 @@ class BranchAndBoundProblem(Protocol):
       like ``relax_child`` but additionally receives the incumbent cost
       snapshot recorded when the parent was pushed.  Problems whose
       relaxation takes incumbent-dependent shortcuts (analytic skips,
-      objective-based presolve) must use this snapshot instead of shared
-      mutable state so process workers reproduce the serial decisions.
+      objective-based presolve) should gate them on this snapshot.
     - ``branch_dimension(box, relaxation)`` — the problem's fixed-order
       branching dimension; consulted by pseudocost branching before its
       table is initialized.
@@ -132,12 +113,6 @@ class BranchAndBoundProblem(Protocol):
       ``None`` to let the active branching rule decide.  Consulted only
       under ``branching="pseudocost"`` (``problem.branch`` subsumes it in
       the default mode).
-    - ``counters_snapshot()`` / ``counters_absorb(delta)`` — export and
-      re-import problem-side counters (e.g. relaxations solved) so process
-      workers' tallies survive the round trip.
-    - ``parallel_executor`` — ``"thread"`` or ``"process"``; problems whose
-      relaxation reads shared mutable state (e.g. an incumbent-gated
-      shortcut) should declare ``"thread"`` so workers observe it.
     """
 
     def initial_box(self) -> Box:
@@ -176,11 +151,8 @@ class BranchAndBoundConfig:
         returning the incumbent.
     time_limit:
         Wall-clock budget in seconds (``None`` = unlimited).  Checked per
-        pop, between child relaxations (including inside parallel workers,
-        which receive the deadline), and the parallel round wait itself is
-        deadline-capped — so ``stop_reason="time"`` fires within about one
-        child relaxation of the budget even with in-flight speculative
-        expansions.
+        pop and between child relaxations, so ``stop_reason="time"`` fires
+        within about one child relaxation of the budget.
     absolute_gap:
         Stop when ``incumbent - best_lower_bound <= absolute_gap``.
     relative_gap:
@@ -191,17 +163,6 @@ class BranchAndBoundConfig:
         created node (reaches terminal boxes — and hence exact incumbents —
         sooner under tight budgets).  Both use the same pruning, so the
         returned bounds are valid either way.
-    workers:
-        Frontier nodes expanded concurrently per round.  ``1`` (default)
-        is the classic serial loop.  The parallel merge replays the serial
-        pruning logic, so the returned result matches ``workers=1``.
-    executor:
-        ``"process"`` (picklable problems; true CPU parallelism),
-        ``"thread"`` (shared-state problems), or ``"auto"`` — honour the
-        problem's ``parallel_executor`` preference, else pick ``process``
-        when the problem pickles and ``thread`` otherwise.  The resolved
-        mode and any fallback reason land in ``BranchAndBoundStats`` and
-        the trace's ``executor`` event.
     branching:
         ``"problem"`` delegates every split to ``problem.branch``;
         ``"pseudocost"`` branches on per-dimension degradation averages
@@ -214,17 +175,11 @@ class BranchAndBoundConfig:
     absolute_gap: float = 1e-9
     relative_gap: float = 1e-9
     strategy: str = "best-first"
-    workers: int = 1
-    executor: str = "auto"
     branching: str = "problem"
 
     def __post_init__(self) -> None:
         if self.strategy not in ("best-first", "depth-first"):
             raise InputValidationError(f"unknown strategy {self.strategy!r}")
-        if self.workers < 1:
-            raise InputValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.executor not in ("auto", "thread", "process"):
-            raise InputValidationError(f"unknown executor {self.executor!r}")
         if self.branching not in ("problem", "pseudocost"):
             raise InputValidationError(f"unknown branching {self.branching!r}")
 
@@ -235,13 +190,8 @@ class BranchAndBoundStats:
 
     ``nodes_expanded`` counts every popped-and-processed node, so
     ``nodes_expanded == nodes_pruned_after_pop + nodes_branched +
-    terminal_nodes`` holds for serial and parallel runs alike;
-    ``nodes_pruned == nodes_pruned_after_pop + children_pruned``.
-
-    ``executor`` records how the frontier actually ran: ``"serial"`` for
-    ``workers=1``, else the resolved ``"thread"`` / ``"process"`` mode;
-    ``executor_fallback`` carries the reason when the resolution was a
-    fallback (e.g. the problem failed to pickle) instead of hiding it.
+    terminal_nodes``; ``nodes_pruned == nodes_pruned_after_pop +
+    children_pruned``.
     """
 
     nodes_expanded: int = 0
@@ -253,11 +203,8 @@ class BranchAndBoundStats:
     terminal_nodes: int = 0
     incumbent_updates: int = 0
     seeds_adopted: int = 0
-    rounds: int = 0
     wall_time: float = 0.0
     stop_reason: str = "exhausted"
-    executor: str = "serial"
-    executor_fallback: str = ""
 
 
 @dataclass(frozen=True)
@@ -315,21 +262,8 @@ class PseudocostTable:
         return max(down * half_width, 1e-12) * max(up * half_width, 1e-12)
 
 
-# --------------------------------------------------------------------- #
-# Parallel expansion plumbing.  ``_expand_pairs`` is the unit of work: it
-# branches one parent and relaxes every child, threading the parent's
-# relaxation and the push-time incumbent snapshot through, and checking the
-# wall-clock deadline between children (a child skipped on deadline is
-# returned with ``None`` in place of its relaxation and inherits the parent
-# bound at merge).  For process pools the problem is pickled once per
-# worker (initializer), not once per task.
-# --------------------------------------------------------------------- #
-
-_WORKER_PROBLEM = None
-
-
 def _relax_child(
-    problem, child: Box, parent_relaxation: Relaxation, ctx: float = np.inf
+    problem, child: Box, parent_relaxation: Relaxation, ctx: float
 ) -> Relaxation:
     hook = getattr(problem, "relax_child_with_incumbent", None)
     if hook is not None:
@@ -355,56 +289,8 @@ def _branch_children(
     return list(box.split(dim)), dim
 
 
-def _expand_pairs(
-    problem,
-    box: Box,
-    relaxation: Relaxation,
-    ctx: float = np.inf,
-    dim: "int | None" = None,
-    deadline: "float | None" = None,
-) -> "Tuple[List[Tuple[Box, Relaxation | None]], int | None]":
-    children, used_dim = _branch_children(problem, box, relaxation, dim)
-    pairs: "List[Tuple[Box, Relaxation | None]]" = []
-    for child in children:
-        # perf_counter is CLOCK_MONOTONIC-based and system-wide on the
-        # platforms we support, so a deadline stamped by the driver is
-        # comparable inside a worker process.  A skew would only delay the
-        # stop, never affect correctness.
-        if deadline is not None and time.perf_counter() > deadline:
-            pairs.append((child, None))
-            continue
-        pairs.append((child, _relax_child(problem, child, relaxation, ctx)))
-    return pairs, used_dim
-
-
-def _expand_local(problem, box, relaxation, ctx, dim, deadline):
-    pairs, used_dim = _expand_pairs(problem, box, relaxation, ctx, dim, deadline)
-    return pairs, used_dim, None  # counters already live on the shared object
-
-
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_PROBLEM
-    _WORKER_PROBLEM = pickle.loads(payload)
-
-
-def _expand_in_worker(box: Box, relaxation: Relaxation, ctx, dim, deadline):
-    problem = _WORKER_PROBLEM
-    snapshot = getattr(problem, "counters_snapshot", None)
-    before = snapshot() if snapshot is not None else None
-    pairs, used_dim = _expand_pairs(problem, box, relaxation, ctx, dim, deadline)
-    delta = None
-    if before is not None:
-        after = snapshot()
-        delta = {key: after[key] - before.get(key, 0) for key in after}
-    return pairs, used_dim, delta
-
-
-# Sentinel outcomes of processing one popped node.
-_CONTINUE, _STOP = "continue", "stop"
-
-
 class _SearchState:
-    """Mutable search state shared by the serial and parallel loops."""
+    """Mutable state of one search: frontier heap, incumbent, counters."""
 
     def __init__(self, problem, config, stats, trace, start_time, incumbent):
         self.problem = problem
@@ -424,10 +310,6 @@ class _SearchState:
     def elapsed(self) -> float:
         return time.perf_counter() - self.start_time
 
-    def deadline(self) -> "float | None":
-        limit = self.config.time_limit
-        return None if limit is None else self.start_time + limit
-
     def out_of_time(self) -> bool:
         limit = self.config.time_limit
         return limit is not None and self.elapsed() > limit
@@ -437,12 +319,11 @@ class _SearchState:
         # dim).  Best-first keys on the bound; depth-first keys on negative
         # creation order, turning the heap into a stack while the true
         # bound rides along for pruning and gap accounting.  The tiebreak
-        # tick is assigned here, in push (= merge = pop) order, which is
-        # identical across serial/thread/process runs — this is what pins
-        # equal-bound ties deterministically.  ``ctx`` snapshots the
-        # incumbent cost and ``dim`` the pseudocost branching choice at the
-        # same sequence point, so expansion decisions never depend on when
-        # (or where) the node is later expanded.
+        # tick is assigned here, in push order, which pins equal-bound ties
+        # deterministically.  ``ctx`` snapshots the incumbent cost and
+        # ``dim`` the pseudocost branching choice at the same sequence
+        # point, so expansion decisions never depend on when the node is
+        # later expanded.
         tick = next(self.ticks)
         key = float(-tick) if self.depth_first else bound
         ctx = np.inf if self.best is None else self.best.cost
@@ -525,7 +406,7 @@ class _SearchState:
 
 
 class BranchAndBoundSolver:
-    """Best-first branch-and-bound driver (serial or batched-parallel)."""
+    """Best-first branch-and-bound driver."""
 
     def __init__(self, config: "BranchAndBoundConfig | None" = None) -> None:
         self.config = config or BranchAndBoundConfig()
@@ -595,10 +476,7 @@ class BranchAndBoundSolver:
             stats.nodes_infeasible += 1
             state.event("infeasible", bound=np.inf, detail="root")
 
-        if config.workers <= 1:
-            self._run_serial(state)
-        else:
-            self._run_parallel(state)
+        self._run(state)
 
         stats.wall_time = time.perf_counter() - start_time
         best = state.best
@@ -629,7 +507,7 @@ class BranchAndBoundSolver:
         return result
 
     # ------------------------------------------------------------------ #
-    def _run_serial(self, st: _SearchState) -> None:
+    def _run(self, st: _SearchState) -> None:
         config, stats = self.config, st.stats
         while st.heap:
             if stats.nodes_expanded >= config.max_nodes:
@@ -639,135 +517,12 @@ class BranchAndBoundSolver:
                 stats.stop_reason = "time"
                 return
             _, _, bound, box, relaxation, ctx, dim = heapq.heappop(st.heap)
-            outcome = self._process_node(
-                st, bound, box, relaxation, ctx, dim, precomputed=None
-            )
-            if outcome is _STOP:
+            if self._process_node(st, bound, box, relaxation, ctx, dim):
                 return
             st.progress_tick()
         # Heap drained: proven optimality by exhaustion.
         stats.stop_reason = "exhausted"
 
-    def _run_parallel(self, st: _SearchState) -> None:
-        config, stats = self.config, st.stats
-        executor, submit, mode, fallback = self._make_executor(st.problem)
-        stats.executor = mode
-        stats.executor_fallback = fallback
-        st.event(
-            "executor",
-            detail=mode if not fallback else f"{mode}: {fallback}",
-        )
-        deadline = st.deadline()
-        try:
-            while st.heap:
-                if stats.nodes_expanded >= config.max_nodes:
-                    stats.stop_reason = "nodes"
-                    return
-                if st.out_of_time():
-                    stats.stop_reason = "time"
-                    return
-
-                # ---- pop a batch of up to `workers` survivors ---------- #
-                batch: "list[tuple]" = []
-                pops = 0
-                gap_seen = False
-                node_budget = config.max_nodes - stats.nodes_expanded
-                while st.heap and len(batch) < config.workers and pops < node_budget:
-                    _, _, bound, box, relaxation, ctx, dim = heapq.heappop(st.heap)
-                    best = st.best
-                    if best is not None and bound > best.cost - config.absolute_gap:
-                        pops += 1
-                        stats.nodes_expanded += 1
-                        stats.nodes_pruned_after_pop += 1
-                        stats.nodes_pruned += 1
-                        st.event("prune", bound=bound, incumbent=best.cost)
-                        continue
-                    if (
-                        best is not None
-                        and not st.depth_first
-                        and self._gap_closed(best.cost, bound, config)
-                    ):
-                        # The incumbent is unchanged since the last merge, so
-                        # the serial driver would stop at this pop too — after
-                        # first processing the nodes already in the batch.
-                        st.push(bound, box, relaxation)
-                        gap_seen = True
-                        break
-                    pops += 1
-                    batch.append((bound, box, relaxation, ctx, dim))
-
-                if not batch:
-                    if gap_seen:
-                        stats.stop_reason = "gap"
-                        st.event(
-                            "gap",
-                            bound=min(st.heap[0][2], st.best.cost),
-                            incumbent=st.best.cost,
-                            detail="closed",
-                        )
-                        return
-                    continue  # only pruned pops this round; re-check budgets
-
-                # ---- speculative expansion ----------------------------- #
-                stats.rounds += 1
-                jobs: "list[tuple]" = []
-                for bound, box, relaxation, ctx, dim in batch:
-                    future = (
-                        None
-                        if st.problem.is_terminal(box)
-                        else submit(box, relaxation, ctx, dim, deadline)
-                    )
-                    jobs.append((bound, box, relaxation, ctx, dim, future))
-                # Wait for the round before merging (merging mutates the
-                # shared incumbent, which thread-pool workers may read) —
-                # but never past the time budget: workers self-terminate at
-                # the deadline, and whatever is still pending after it gets
-                # pushed back unexpanded.
-                futures = [job[5] for job in jobs if job[5] is not None]
-                if futures:
-                    timeout = (
-                        None
-                        if deadline is None
-                        else max(deadline - time.perf_counter(), 0.0)
-                    )
-                    done, not_done = concurrent.futures.wait(futures, timeout=timeout)
-                    for future in not_done:
-                        future.cancel()
-
-                # ---- deterministic merge in pop order ------------------ #
-                for index, (bound, box, relaxation, ctx, dim, future) in enumerate(
-                    jobs
-                ):
-                    unfinished = future is not None and (
-                        future.cancelled() or not future.done()
-                    )
-                    if st.out_of_time() or unfinished:
-                        for rest in jobs[index:]:
-                            st.push(rest[0], rest[1], rest[2])
-                        stats.stop_reason = "time"
-                        return
-                    if future is None:
-                        precomputed = None
-                    else:
-                        pairs, used_dim, delta = future.result()
-                        if delta:
-                            absorb = getattr(st.problem, "counters_absorb", None)
-                            if absorb is not None:
-                                absorb(delta)
-                        precomputed = (pairs, used_dim)
-                    outcome = self._process_node(
-                        st, bound, box, relaxation, ctx, dim, precomputed=precomputed
-                    )
-                    if outcome is _STOP:
-                        for rest in jobs[index + 1 :]:
-                            st.push(rest[0], rest[1], rest[2])
-                        return
-                st.progress_tick()
-            stats.stop_reason = "exhausted"
-        finally:
-            executor.shutdown(wait=True)
-
-    # ------------------------------------------------------------------ #
     def _process_node(
         self,
         st: _SearchState,
@@ -776,12 +531,11 @@ class BranchAndBoundSolver:
         relaxation: Relaxation,
         ctx: float,
         dim: "int | None",
-        precomputed: "Tuple[List[Tuple[Box, Relaxation | None]], int | None] | None",
-    ) -> str:
-        """Apply the serial pop logic to one node (children may be precomputed).
+    ) -> bool:
+        """Prune, resolve, or branch one popped node.
 
-        Returns ``_STOP`` when the search should end (gap closed or time
-        budget expired), ``_CONTINUE`` otherwise.
+        Returns True when the search should end (gap closed or time budget
+        expired).
         """
         config, stats = self.config, st.stats
         best = st.best
@@ -790,7 +544,7 @@ class BranchAndBoundSolver:
             stats.nodes_pruned_after_pop += 1
             stats.nodes_pruned += 1
             st.event("prune", bound=bound, incumbent=best.cost)
-            return _CONTINUE
+            return False
         if (
             best is not None
             and not st.depth_first
@@ -803,7 +557,7 @@ class BranchAndBoundSolver:
             st.event(
                 "gap", bound=min(bound, best.cost), incumbent=best.cost, detail="closed"
             )
-            return _STOP
+            return True
         st.gap_progress(bound)
 
         stats.nodes_expanded += 1
@@ -816,41 +570,9 @@ class BranchAndBoundSolver:
                 detail="terminal",
             )
             st.improve(st.problem.resolve_terminal(box))
-            return _CONTINUE
+            return False
 
         stats.nodes_branched += 1
-        if precomputed is not None:
-            pairs, used_dim = precomputed
-            st.event(
-                "expand",
-                bound=bound,
-                incumbent=None if best is None else best.cost,
-                detail=f"branch:{len(pairs)}",
-            )
-            for index, (child, child_relax) in enumerate(pairs):
-                if st.out_of_time():
-                    # Remaining children: already-relaxed ones keep their
-                    # own (valid) bounds, deadline-skipped ones inherit the
-                    # parent's.
-                    for rest_child, rest_relax in pairs[index:]:
-                        if rest_relax is None:
-                            st.push(bound, rest_child, relaxation)
-                        elif rest_relax.feasible:
-                            st.push(rest_relax.lower_bound, rest_child, rest_relax)
-                        else:
-                            stats.nodes_infeasible += 1
-                            st.event("infeasible", bound=np.inf)
-                    stats.stop_reason = "time"
-                    return _STOP
-                if child_relax is None:
-                    # The worker hit the deadline before relaxing this
-                    # child: the parent's bound is still valid for it.
-                    st.push(bound, child, relaxation)
-                    continue
-                self._observe_branching(st, used_dim, index, bound, child, child_relax)
-                self._consume_child(st, child, child_relax)
-            return _CONTINUE
-
         children, used_dim = _branch_children(st.problem, box, relaxation, dim)
         st.event(
             "expand",
@@ -866,11 +588,11 @@ class BranchAndBoundSolver:
                 for rest in children[index:]:
                     st.push(bound, rest, relaxation)
                 stats.stop_reason = "time"
-                return _STOP
+                return True
             child_relax = _relax_child(st.problem, child, relaxation, ctx)
             self._observe_branching(st, used_dim, index, bound, child, child_relax)
             self._consume_child(st, child, child_relax)
-        return _CONTINUE
+        return False
 
     def _observe_branching(
         self,
@@ -881,11 +603,8 @@ class BranchAndBoundSolver:
         child: Box,
         child_relax: Relaxation,
     ) -> None:
-        """Feed one child's bound degradation into the pseudocost table.
-
-        Runs at the merge sequence point (before the child is consumed), so
-        serial and parallel runs build byte-identical tables.
-        """
+        """Feed one child's bound degradation into the pseudocost table
+        (before the child is consumed)."""
         table = st.pseudocosts
         if table is None or used_dim is None or side > 1:
             return
@@ -916,74 +635,6 @@ class BranchAndBoundSolver:
             )
             return
         st.push(child_relax.lower_bound, child, child_relax)
-
-    # ------------------------------------------------------------------ #
-    def _make_executor(self, problem):
-        """Build the round executor.
-
-        Returns ``(executor, submit, resolved_mode, fallback_reason)``;
-        ``submit(box, relaxation, ctx, dim, deadline)`` schedules one
-        expansion.  ``fallback_reason`` is non-empty whenever the resolved
-        mode is not the one a process-capable problem would have gotten —
-        the silent thread fallback was exactly how a 0.95x "parallel"
-        speedup hid for a whole release.
-        """
-        workers = self.config.workers
-        mode = self.config.executor
-        reason = ""
-        payload: "bytes | None" = None
-        if mode == "auto":
-            declared = getattr(problem, "parallel_executor", None)
-            if declared in ("thread", "process"):
-                mode = declared
-                if declared == "thread":
-                    reason = "problem declares parallel_executor='thread'"
-            else:
-                try:
-                    payload = pickle.dumps(problem)
-                    mode = "process"
-                except Exception as exc:
-                    mode = "thread"
-                    reason = (
-                        f"problem does not pickle: {type(exc).__name__}: {exc}"
-                    )[:200]
-        if mode == "process" and multiprocessing.current_process().daemon:
-            # A daemonic worker (e.g. a wordlength-sweep process chunk)
-            # cannot spawn children; ProcessPoolExecutor would only fail at
-            # first submit, so degrade to threads up front — with the
-            # reason recorded, never silently.
-            mode = "thread"
-            reason = "nested in a daemonic worker process: cannot spawn children"
-        if mode == "process":
-            try:
-                if payload is None:
-                    payload = pickle.dumps(problem)
-                executor = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(payload,),
-                )
-                return (
-                    executor,
-                    lambda box, relax, ctx, dim, deadline: executor.submit(
-                        _expand_in_worker, box, relax, ctx, dim, deadline
-                    ),
-                    "process",
-                    reason,
-                )
-            except Exception as exc:
-                reason = (
-                    f"process pool unavailable: {type(exc).__name__}: {exc}"
-                )[:200]
-        executor = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-        return (
-            executor,
-            lambda box, relax, ctx, dim, deadline: executor.submit(
-                _expand_local, problem, box, relax, ctx, dim, deadline
-            ),
-            "thread",
-            reason,
-        )
 
     # ------------------------------------------------------------------ #
     @staticmethod

@@ -33,9 +33,8 @@ interval proofs are far sharper.
 
 Interval bounds are loose on wide boxes, so the cut typically starts firing
 a few levels below the root — where the bulk of the tree lives.  It is a
-pure function of the box and the static instance data (picklable, no
-incumbent dependence), so serial, thread, and process runs prune the same
-nodes and the deterministic parallel merge is preserved.
+pure function of the box and the static instance data (no incumbent
+dependence), so it prunes the same nodes whenever they are expanded.
 """
 
 from __future__ import annotations
@@ -143,8 +142,7 @@ class ReflectionCut:
         time without a cone solve, and the surviving child is at least one
         grid step thinner.  Returns ``None`` when the box is not on the
         negative side, is already covered (prune it instead), or no single
-        split yields a covered slice.  Pure function of the box — serial,
-        thread, and process runs branch identically.
+        split yields a covered slice.  Pure function of the box.
         """
         m = box.ndim - 1
         if box.hi[m] > 0.0 or box.lo[m] >= 0.0:

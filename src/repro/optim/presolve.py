@@ -38,9 +38,8 @@ the grid steps, and optionally the diagonal of the inverse objective matrix
    single cone solve — on *both* sides of ``t = 0``.
 
 The presolver is pure (no references back to the problem object) and built
-from plain arrays, so it pickles with the problem and runs identically in
-serial, thread, and process workers — a prerequisite for the deterministic
-parallel merge.
+from plain arrays: its result depends only on the box and the incumbent it
+is given.
 """
 
 from __future__ import annotations
@@ -170,8 +169,7 @@ class Presolver:
         Returns ``(axis, dirs, ratios)`` with ``|dirs[k]'w| <= ratios[k] *
         max_box |axis'w|`` for every improving ``w``, or ``None`` when the
         reduction does not apply.  The incumbent gets the same equal-cost
-        slack as the ellipsoid pass, so ties survive.  Stateless — safe
-        under concurrent thread-executor calls.
+        slack as the ellipsoid pass, so ties survive.  Stateless.
         """
         if self.obj_matrix is None or not np.isfinite(incumbent) or incumbent < 0:
             return None

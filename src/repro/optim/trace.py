@@ -16,9 +16,6 @@ kind                    meaning
 ``incumbent``           the incumbent improved (``incumbent`` = new cost)
 ``gap``                 global lower-bound progress (best-first only); the
                         final one carries ``detail="closed"``
-``executor``            parallel frontier resolved its executor; ``detail``
-                        is ``thread`` / ``process``, with the fallback
-                        reason appended when the mode was a fallback
 ``stop``                search ended; ``detail`` is the stop reason
                         (``nodes`` / ``time`` / ``gap`` / ``exhausted``)
 ======================  ======================================================
@@ -27,7 +24,9 @@ Counters derived from the event stream (:meth:`SolverTrace.counters`) match
 the driver's :class:`~repro.optim.bnb.BranchAndBoundStats` field for field —
 :meth:`SolverTrace.verify_counters` checks this, and the JSON export
 (:meth:`to_json` / :meth:`from_json`) round-trips both events and final
-stats so a trace written by the CLI can be audited offline.
+stats so a trace written by the CLI can be audited offline.  Loading
+validates every event: an unknown or missing key, or an unknown event kind,
+raises :class:`~repro.errors.InputValidationError` naming it.
 
 The module deliberately does not import :mod:`repro.optim.bnb` (the driver
 imports the trace, not vice versa); ``finalize`` accepts any dataclass.
@@ -52,7 +51,6 @@ EVENT_KINDS = (
     "infeasible",
     "incumbent",
     "gap",
-    "executor",
     "stop",
 )
 
@@ -68,6 +66,31 @@ _COUNTER_FIELDS = (
     "terminal_nodes",
     "incumbent_updates",
 )
+
+
+def record_from_json(cls, entry, where: str):
+    """Build the dataclass ``cls`` from one JSON object of a trace file.
+
+    Raises :class:`InputValidationError` naming the first unknown or
+    missing key instead of letting the constructor raise a bare
+    ``TypeError``.
+    """
+    if not isinstance(entry, dict):
+        raise InputValidationError(
+            f"{where}: expected a JSON object, got {type(entry).__name__}"
+        )
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(entry) - {f.name for f in fields})
+    if unknown:
+        raise InputValidationError(f"{where}: unknown key {unknown[0]!r}")
+    for f in fields:
+        required = (
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        )
+        if required and f.name not in entry:
+            raise InputValidationError(f"{where}: missing key {f.name!r}")
+    return cls(**entry)
 
 
 @dataclass(frozen=True)
@@ -252,7 +275,13 @@ class SolverTrace:
         trace = cls()
         trace._t0 = 0.0
         trace.stats = payload.get("stats")
-        trace.events = [TraceEvent(**entry) for entry in payload.get("events", [])]
+        for index, entry in enumerate(payload.get("events", [])):
+            event = record_from_json(TraceEvent, entry, f"trace event {index}")
+            if event.kind not in EVENT_KINDS:
+                raise InputValidationError(
+                    f"trace event {index}: unknown kind {event.kind!r}"
+                )
+            trace.events.append(event)
         trace._seq = len(trace.events)
         return trace
 

@@ -26,13 +26,10 @@ length's solution.  This engine removes all three redundancies:
    follows the order given.
 3. **Process-parallel chunks with a deterministic merge** — the word-length
    list is split into ``workers`` contiguous chunks; chunks run in separate
-   processes (or threads), seeds flow only *within* a chunk (so the
-   schedule is a deterministic function of the inputs, never of timing),
-   and results are merged back in input order.  A point's own solver may
-   also be parallel (``LdaFpConfig.workers > 1``): nested under a process
-   chunk the inner frontier degrades to threads (daemonic workers cannot
-   spawn children) with the reason recorded in the point record's
-   ``solver_executor_fallback`` — never a silent serial slowdown.
+   processes (threads when a process pool cannot start), seeds flow only
+   *within* a chunk (so the schedule is a deterministic function of the
+   inputs, never of timing), and results are merged back in input order.
+   Each point's own branch-and-bound runs serially inside its chunk.
 
 Telemetry: pass a :class:`~repro.wordlength.sweeptrace.SweepTrace` to
 record one ``repro.sweep-trace/v1`` point record per word length, each
@@ -80,21 +77,18 @@ class SweepConfig:
         mapping budgeting individual points (word lengths absent from the
         mapping run uncapped) — the knob that lets one sweep mix fully
         certified points with tightly budgeted exploratory ones.
-    executor:
-        ``"process"`` (default; true CPU parallelism, falls back to
-        threads when the payload cannot be pickled) or ``"thread"``.
+
+    Chunks run in a process pool, falling back to threads when the pool
+    cannot start or a worker dies.
     """
 
     workers: int = 1
     seed_incumbents: bool = True
     point_time_limit: "float | dict[int, float] | None" = None
-    executor: str = "process"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise InputValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.executor not in ("process", "thread"):
-            raise InputValidationError(f"unknown executor {self.executor!r}")
         if isinstance(self.point_time_limit, dict):
             for wl, budget in self.point_time_limit.items():
                 if budget <= 0:
@@ -152,8 +146,6 @@ class _PointOutcome:
     seeds_injected: int
     seeds_rejected: int
     seeds_adopted: int
-    solver_executor: Optional[str]
-    solver_executor_fallback: Optional[str]
     solver_trace: Optional[SolverTrace]
 
 
@@ -237,10 +229,6 @@ def _solve_chunk(
                 seeds_injected=0 if report is None else report.seeds_injected,
                 seeds_rejected=0 if report is None else report.seeds_rejected,
                 seeds_adopted=0 if report is None else report.seeds_adopted,
-                solver_executor=None if report is None else report.executor,
-                solver_executor_fallback=(
-                    None if report is None else report.executor_fallback
-                ),
                 solver_trace=trace if isinstance(trace, SolverTrace) else None,
             )
         )
@@ -322,7 +310,7 @@ def run_sweep(
             _solve_chunk(*chunk_args[0], trace_factory=trace_factory)
         ]
     else:
-        chunk_outcomes = _run_chunks_parallel(chunk_args, sweep_config)
+        chunk_outcomes = _run_chunks_parallel(chunk_args)
 
     model = paper_power_model()
     points: "List[SweepPoint]" = []
@@ -354,8 +342,6 @@ def run_sweep(
                         train_seconds=outcome.train_seconds,
                         proven_optimal=outcome.proven_optimal,
                         stop_reason=outcome.stop_reason,
-                        solver_executor=outcome.solver_executor,
-                        solver_executor_fallback=outcome.solver_executor_fallback,
                     ),
                     solver_trace=outcome.solver_trace,
                 )
@@ -366,7 +352,6 @@ def run_sweep(
             "workers": sweep_config.workers,
             "chunks": [list(chunk) for chunk in chunks],
             "seed_incumbents": sweep_config.seed_incumbents,
-            "executor": sweep_config.executor,
             "point_time_limit": (
                 {str(wl): limit for wl, limit in sweep_config.point_time_limit.items()}
                 if isinstance(sweep_config.point_time_limit, dict)
@@ -377,16 +362,15 @@ def run_sweep(
     return points
 
 
-def _run_chunks_parallel(chunk_args, sweep_config: SweepConfig):
+def _run_chunks_parallel(chunk_args):
     """Solve chunks concurrently; results come back in chunk order."""
     workers = len(chunk_args)
-    if sweep_config.executor == "process":
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_solve_chunk, *args) for args in chunk_args]
-                return [future.result() for future in futures]
-        except (OSError, concurrent.futures.process.BrokenProcessPool):
-            pass  # no process support (or worker died): thread fallback
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_solve_chunk, *args) for args in chunk_args]
+            return [future.result() for future in futures]
+    except (OSError, concurrent.futures.process.BrokenProcessPool):
+        pass  # no process support (or worker died): thread fallback
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_solve_chunk, *args) for args in chunk_args]
         return [future.result() for future in futures]

@@ -28,7 +28,11 @@ Schema (``repro.sweep-trace/v1``)::
 Like :mod:`repro.optim.trace`, this module does not import the engine (the
 engine imports the trace), and the export round-trips through
 :meth:`SweepTrace.from_json` so a trace written by ``repro sweep
---sweep-trace`` can be audited offline.
+--sweep-trace`` can be audited offline.  Loading validates every point: an
+unknown or missing key raises :class:`~repro.errors.InputValidationError`
+naming it.  Files written before the solver became serial-only carry two
+retired per-point keys naming the frontier executor; exactly those two are
+dropped on read (:data:`_RETIRED_POINT_KEYS`) so old traces still load.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import InputValidationError
-from ..optim.trace import SolverTrace
+from ..optim.trace import SolverTrace, record_from_json
 
 __all__ = ["SweepPointRecord", "SweepTrace"]
 
@@ -68,10 +72,10 @@ class SweepPointRecord:
     train_seconds: float
     proven_optimal: Optional[bool]
     stop_reason: Optional[str]
-    #: resolved branch-and-bound executor for this point (None = no solver)
-    solver_executor: Optional[str] = None
-    #: why the executor degraded from the requested mode, if it did
-    solver_executor_fallback: Optional[str] = None
+
+
+#: point keys written by older versions that carry no information any more
+_RETIRED_POINT_KEYS = ("solver_executor", "solver_executor_fallback")
 
 
 class SweepTrace:
@@ -123,9 +127,14 @@ class SweepTrace:
             raise InputValidationError(f"unsupported sweep-trace schema {schema!r}")
         trace = cls()
         trace.meta = dict(payload.get("meta", {}))
-        for entry in payload.get("points", []):
+        for index, entry in enumerate(payload.get("points", [])):
+            where = f"sweep-trace point {index}"
+            if not isinstance(entry, dict):
+                raise InputValidationError(f"{where}: expected a JSON object")
             solver_payload = entry.pop("solver", None)
-            record = SweepPointRecord(**entry)
+            for key in _RETIRED_POINT_KEYS:
+                entry.pop(key, None)
+            record = record_from_json(SweepPointRecord, entry, where)
             solver = (
                 None
                 if solver_payload is None

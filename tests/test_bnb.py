@@ -232,6 +232,7 @@ class TestStopReasons:
         )
         assert not result.proven_optimal
         assert result.stats.stop_reason == "nodes"
+        assert result.stats.nodes_expanded <= 3
 
     def test_time(self):
         problem = SlowChildrenProblem(
@@ -278,165 +279,12 @@ class TestStopReasons:
         )
 
 
-class TestParallel:
-    def _stats_tuple(self, stats):
-        return (
-            stats.nodes_expanded,
-            stats.nodes_pruned,
-            stats.nodes_pruned_after_pop,
-            stats.nodes_branched,
-            stats.children_pruned,
-            stats.nodes_infeasible,
-            stats.terminal_nodes,
-            stats.incumbent_updates,
-            stats.stop_reason,
-        )
-
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_matches_serial_exactly(self, executor):
-        target = np.array([0.31, -0.57, 0.88])
-        serial = BranchAndBoundSolver().solve(
-            QuadraticGridProblem(target, -1.0, 1.0, 0.25)
-        )
-        par = BranchAndBoundSolver(
-            BranchAndBoundConfig(workers=4, executor=executor)
-        ).solve(QuadraticGridProblem(target, -1.0, 1.0, 0.25))
-        assert np.array_equal(serial.x, par.x)
-        assert serial.cost == par.cost
-        assert serial.lower_bound == par.lower_bound
-        assert serial.proven_optimal == par.proven_optimal
-        assert self._stats_tuple(serial.stats) == self._stats_tuple(par.stats)
-
-    def test_parallel_depth_first_matches_serial(self):
-        target = np.array([0.3, -0.6])
-        serial = BranchAndBoundSolver(
-            BranchAndBoundConfig(strategy="depth-first")
-        ).solve(QuadraticGridProblem(target, -1.0, 1.0, 0.25))
-        par = BranchAndBoundSolver(
-            BranchAndBoundConfig(strategy="depth-first", workers=3, executor="thread")
-        ).solve(QuadraticGridProblem(target, -1.0, 1.0, 0.25))
-        assert serial.cost == par.cost
-        assert serial.lower_bound == par.lower_bound
-        assert self._stats_tuple(serial.stats) == self._stats_tuple(par.stats)
-
-    def test_parallel_node_budget(self):
-        problem = QuadraticGridProblem(np.arange(4) / 10.0, -1.0, 1.0, 2.0**-6)
-        config = BranchAndBoundConfig(workers=4, executor="thread", max_nodes=5)
-        result = BranchAndBoundSolver(config).solve(problem)
-        assert result.stats.nodes_expanded <= 5
-        assert result.stats.stop_reason == "nodes"
-
-    def test_parallel_gap_stop(self):
-        problem = QuadraticGridProblem(np.array([0.3, 0.1]), -1.0, 1.0, 0.25)
-        config = BranchAndBoundConfig(workers=4, executor="thread", relative_gap=100.0)
-        result = BranchAndBoundSolver(config).solve(problem)
-        assert result.stats.stop_reason == "gap"
-        assert result.proven_optimal
-
-    def test_auto_executor_picks_process_for_picklable(self):
-        problem = QuadraticGridProblem(np.array([0.3]), -1.0, 1.0, 0.25)
-        config = BranchAndBoundConfig(workers=2)
-        result = BranchAndBoundSolver(config).solve(problem)
-        assert result.proven_optimal
-
-    def test_thread_fallback_for_nonpicklable(self):
-        problem = QuadraticGridProblem(np.array([0.3]), -1.0, 1.0, 0.25)
-        problem.unpicklable = lambda: None  # lambdas cannot pickle
-        config = BranchAndBoundConfig(workers=2, executor="auto")
-        result = BranchAndBoundSolver(config).solve(problem)
-        assert result.proven_optimal
-        assert result.x[0] == pytest.approx(0.25)
-
-    def test_workers_validation(self):
-        with pytest.raises(ValueError):
-            BranchAndBoundConfig(workers=0)
-        with pytest.raises(ValueError):
-            BranchAndBoundConfig(executor="gpu")
-
-
-class TestExecutorSurfacing:
-    """The resolved executor and any fallback reason are first-class
-    outputs — in the stats and in the trace's ``executor`` event."""
-
-    def test_serial_reports_serial(self):
-        result = BranchAndBoundSolver().solve(
-            QuadraticGridProblem(np.array([0.3]), -1.0, 1.0, 0.25)
-        )
-        assert result.stats.executor == "serial"
-        assert result.stats.executor_fallback == ""
-
-    def test_thread_fallback_reason_surfaces(self):
-        from repro.optim.trace import SolverTrace
-
-        problem = QuadraticGridProblem(np.array([0.3, -0.4]), -1.0, 1.0, 0.25)
-        problem.unpicklable = lambda: None
-        trace = SolverTrace()
-        result = BranchAndBoundSolver(
-            BranchAndBoundConfig(workers=2, executor="auto")
-        ).solve(problem, trace=trace)
-        assert result.stats.executor == "thread"
-        assert "pickle" in result.stats.executor_fallback
-        events = [e for e in trace.events if e.kind == "executor"]
-        assert len(events) == 1
-        assert events[0].detail.startswith("thread: ")
-        assert "pickle" in events[0].detail
-
-    def test_explicit_process_reports_no_fallback(self):
-        result = BranchAndBoundSolver(
-            BranchAndBoundConfig(workers=2, executor="process")
-        ).solve(QuadraticGridProblem(np.array([0.3]), -1.0, 1.0, 0.25))
-        assert result.stats.executor == "process"
-        assert result.stats.executor_fallback == ""
-
-    def test_daemonic_worker_degrades_to_threads(self, monkeypatch):
-        """A frontier running inside a daemonic process (e.g. a sweep
-        chunk) cannot spawn children; the guard must fall back to threads
-        *with* the reason, not die at first submit."""
-        import repro.optim.bnb as bnb_module
-
-        class _FakeDaemon:
-            daemon = True
-
-        monkeypatch.setattr(
-            bnb_module.multiprocessing, "current_process", lambda: _FakeDaemon()
-        )
-        result = BranchAndBoundSolver(
-            BranchAndBoundConfig(workers=2, executor="process")
-        ).solve(QuadraticGridProblem(np.array([0.3, 0.1]), -1.0, 1.0, 0.25))
-        assert result.stats.executor == "thread"
-        assert "daemonic" in result.stats.executor_fallback
-        assert result.proven_optimal
-
-
-class TestParallelTimeBudget:
-    def test_round_wait_is_deadline_capped(self):
-        """``stop_reason='time'`` must fire within about one child
-        relaxation of the budget even with a round of slow in-flight
-        expansions (the old behaviour drained the whole round first)."""
-        import time as _time
-
-        sleep = 0.5
-        limit = 0.25
-        problem = SlowChildrenProblem(
-            np.arange(3) / 10.0, -1.0, 1.0, 2.0**-6, delay=sleep
-        )
-        config = BranchAndBoundConfig(
-            workers=4, executor="thread", time_limit=limit
-        )
-        start = _time.perf_counter()
-        result = BranchAndBoundSolver(config).solve(problem)
-        elapsed = _time.perf_counter() - start
-        assert result.stats.stop_reason == "time"
-        # Budget + one in-flight child relaxation + scheduling slack.
-        assert elapsed < limit + sleep + 0.5, elapsed
-
-
 class TestHeapTieBreaking:
-    """Tie-heavy frontiers must expand in the identical order under
-    every executor: heap entries carry a monotone tick so equal bounds
-    resolve FIFO, never by comparison of boxes or float identity."""
+    """Tie-heavy frontiers expand in a reproducible order: heap entries
+    carry a monotone tick so equal bounds resolve FIFO, never by
+    comparison of boxes or float identity."""
 
-    def _event_stream(self, executor, workers):
+    def _event_stream(self):
         from repro.optim.trace import SolverTrace
 
         # A target exactly between grid points makes sibling bounds tie
@@ -445,57 +293,38 @@ class TestHeapTieBreaking:
             np.zeros(3) + 0.125, -1.0, 1.0, 0.25
         )
         trace = SolverTrace()
-        config = (
-            BranchAndBoundConfig()
-            if workers == 1
-            else BranchAndBoundConfig(workers=workers, executor=executor)
-        )
-        result = BranchAndBoundSolver(config).solve(problem, trace=trace)
+        result = BranchAndBoundSolver().solve(problem, trace=trace)
         return result, [
             (e.kind, e.bound, e.incumbent, e.detail)
             for e in trace.events
-            if e.kind not in ("start", "executor")
+            if e.kind != "start"
         ]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_expansion_order_matches_serial(self, executor):
-        serial_result, serial_events = self._event_stream("serial", 1)
-        par_result, par_events = self._event_stream(executor, 4)
-        assert serial_events == par_events
-        assert np.array_equal(serial_result.x, par_result.x)
-        assert serial_result.cost == par_result.cost
+    def test_tie_heavy_problem_solves(self):
+        result, events = self._event_stream()
+        assert result.proven_optimal
+        assert result.cost == pytest.approx(3 * 0.125**2)
+        assert any(kind == "expand" for kind, *_ in events)
 
-    def test_thread_runs_are_reproducible(self):
-        _, first = self._event_stream("thread", 3)
-        _, second = self._event_stream("thread", 3)
+    def test_runs_are_reproducible(self):
+        first_result, first = self._event_stream()
+        second_result, second = self._event_stream()
         assert first == second
+        assert np.array_equal(first_result.x, second_result.x)
 
 
 class TestPseudocostBranching:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_same_optimum_as_problem_branching(self, executor):
+    def test_same_optimum_as_problem_branching(self):
         target = np.array([0.31, -0.57, 0.88])
         baseline = BranchAndBoundSolver().solve(
             QuadraticGridProblem(target, -1.0, 1.0, 0.25)
         )
-        pseudo_serial = BranchAndBoundSolver(
+        pseudo = BranchAndBoundSolver(
             BranchAndBoundConfig(branching="pseudocost")
         ).solve(QuadraticGridProblem(target, -1.0, 1.0, 0.25))
-        pseudo_parallel = BranchAndBoundSolver(
-            BranchAndBoundConfig(
-                branching="pseudocost", workers=4, executor=executor
-            )
-        ).solve(QuadraticGridProblem(target, -1.0, 1.0, 0.25))
-        assert pseudo_serial.proven_optimal
-        assert pseudo_serial.cost == baseline.cost
-        assert np.array_equal(pseudo_serial.x, baseline.x)
-        # Pseudocost must itself be executor-deterministic.
-        assert pseudo_parallel.cost == pseudo_serial.cost
-        assert np.array_equal(pseudo_parallel.x, pseudo_serial.x)
-        assert (
-            pseudo_parallel.stats.nodes_expanded
-            == pseudo_serial.stats.nodes_expanded
-        )
+        assert pseudo.proven_optimal
+        assert pseudo.cost == baseline.cost
+        assert np.array_equal(pseudo.x, baseline.x)
 
     def test_table_rejects_unknown_branching(self):
         with pytest.raises(Exception):

@@ -49,9 +49,9 @@ class TestBruteForce:
 class TestBnbMatchesBruteForce:
     """The branch-and-bound drivers against exhaustive enumeration.
 
-    On grids tiny enough to enumerate, serial and parallel branch-and-bound
-    must both land on the brute-force optimum (same cost; the argmin may
-    differ only between exact ties, which the toy quadratic does not have).
+    On grids tiny enough to enumerate, branch-and-bound must land on the
+    brute-force optimum (same cost; the argmin may differ only between
+    exact ties, which the toy quadratic does not have).
     """
 
     def _toy(self, target, step):
@@ -59,7 +59,6 @@ class TestBnbMatchesBruteForce:
 
         return QuadraticGridProblem(np.asarray(target), -1.0, 1.0, step)
 
-    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
         "target,step",
         [
@@ -68,7 +67,7 @@ class TestBnbMatchesBruteForce:
             ([0.1, 0.2, -0.3], 0.5),
         ],
     )
-    def test_toy_grid(self, workers, target, step):
+    def test_toy_grid(self, target, step):
         from repro.optim.bnb import BranchAndBoundConfig, BranchAndBoundSolver
 
         problem = self._toy(target, step)
@@ -76,16 +75,15 @@ class TestBnbMatchesBruteForce:
             problem.box.grid_values(d) for d in range(problem.box.ndim)
         ]
         oracle = brute_force_minimize(grids, problem.cost)
-        result = BranchAndBoundSolver(
-            BranchAndBoundConfig(workers=workers, executor="thread")
-        ).solve(self._toy(target, step))
+        result = BranchAndBoundSolver(BranchAndBoundConfig()).solve(
+            self._toy(target, step)
+        )
         assert result.proven_optimal
         assert result.cost == pytest.approx(oracle.cost, abs=1e-12)
         assert np.allclose(result.x, oracle.x)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_ldafp_tiny_instance(self, workers):
-        """Both drivers match brute force on a tiny LDA-FP grid."""
+    def test_ldafp_tiny_instance(self):
+        """The trainer matches brute force on a tiny LDA-FP grid."""
         from repro.core.ldafp import LdaFpConfig, train_lda_fp, _adjust_stats
         from repro.core.problem import LdaFpProblem
         from repro.fixedpoint.qformat import QFormat
@@ -95,7 +93,7 @@ class TestBnbMatchesBruteForce:
 
         dataset, _ = random_instance(3)
         fmt = QFormat(2, 1)  # 2 or 3 features at 8 grid points each
-        config = LdaFpConfig(max_nodes=4000, time_limit=None, workers=workers)
+        config = LdaFpConfig(max_nodes=4000, time_limit=None)
         classifier, report = train_lda_fp(dataset, fmt, config)
         assert report.proven_optimal
 

@@ -32,14 +32,12 @@ class TestParser:
         args = build_parser().parse_args(["report", "--word-length", "6", "--verilog"])
         assert args.word_length == 6
         assert args.verilog
-        assert args.workers == 1
         assert args.trace is None
 
     def test_report_workers_and_trace(self):
-        args = build_parser().parse_args(
-            ["report", "--workers", "4", "--trace", "out.json"]
-        )
-        assert args.workers == 4
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--workers", "2"])
+        args = build_parser().parse_args(["report", "--trace", "out.json"])
         assert args.trace == "out.json"
 
     def test_unknown_command_rejected(self):
@@ -128,7 +126,6 @@ class TestMain:
                 "report",
                 "--word-length", "4",
                 "--time-limit", "5",
-                "--workers", "2",
                 "--trace", str(path),
             ]
         )

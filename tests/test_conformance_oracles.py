@@ -18,7 +18,6 @@ class TestRegistry:
             "wire_roundtrip",
             "stream_vs_batch",
             "certifier-replay",
-            "solver-parallel-serial",
             "presolve_vs_plain",
             "sweep-naive",
             "cluster_vs_single",
@@ -57,12 +56,6 @@ class TestOraclesHoldOnCleanTree:
 
     def test_certifier_replay(self):
         assert fuzz_oracle(get_oracle("certifier-replay"), seed=0, max_examples=6) is None
-
-    def test_solver_parallel_serial(self):
-        assert (
-            fuzz_oracle(get_oracle("solver-parallel-serial"), seed=0, max_examples=1)
-            is None
-        )
 
     def test_sweep_naive(self):
         assert fuzz_oracle(get_oracle("sweep-naive"), seed=0, max_examples=1) is None

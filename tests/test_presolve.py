@@ -318,7 +318,7 @@ class TestReflectionCut:
         assert box.lo[dim] < value < box.hi[dim]
         left, right = box.split_at(dim, value)
         assert cut.covered(left) or cut.covered(right)
-        # Pure function of the box: identical under any executor.
+        # Pure function of the box: asking again gives the same split.
         assert cut.guided_split(box) == guided
 
     def test_pinned_instance_actually_covers_something(self):
@@ -347,3 +347,43 @@ class TestReflectionCut:
                         found = True
                         break
         assert found
+
+
+# --------------------------------------------------------------------- #
+# End to end: every accelerated arm returns the plain tree's result.
+# --------------------------------------------------------------------- #
+class TestAcceleratedVsPlain:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accelerated_arm_matches_plain(self, seed):
+        """Presolve + symmetry cuts (with either branching rule) must
+        return the identical result triple as the plain tree — the
+        reductions only remove points that are infeasible, dominated, or
+        mirrored, never the optimum."""
+        from repro.core.ldafp import LdaFpConfig, train_lda_fp
+        from tests.test_properties import random_instance
+
+        dataset, fmt = random_instance(seed)
+        arms = {}
+        for label, kw in (
+            ("plain", dict(presolve=False, symmetry_cuts=False)),
+            ("accelerated", dict(presolve=True, symmetry_cuts=True)),
+            (
+                "accelerated-pseudocost",
+                dict(presolve=True, symmetry_cuts=True, branching="pseudocost"),
+            ),
+        ):
+            config = LdaFpConfig(
+                max_nodes=200_000,
+                time_limit=None,
+                absolute_gap=0.0,
+                relative_gap=0.0,
+                **kw,
+            )
+            _, report = train_lda_fp(dataset, fmt, config)
+            arms[label] = report
+        plain = arms["plain"]
+        assert plain.proven_optimal
+        for label, report in arms.items():
+            assert report.proven_optimal, label
+            assert report.cost == plain.cost, label
+            assert report.lower_bound == plain.lower_bound, label

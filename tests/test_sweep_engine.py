@@ -297,6 +297,47 @@ class TestSweepTrace:
         assert trace.record_for(99) is None
 
 
+def _point_entry(**overrides) -> dict:
+    entry = {
+        "word_length": 6, "chunk": 0, "index_in_chunk": 0, "seeded": False,
+        "seeds_injected": 0, "seeds_rejected": 0, "seeds_adopted": 0,
+        "cost": 0.5, "test_error": 0.1, "train_seconds": 0.2,
+        "proven_optimal": True, "stop_reason": "exhausted", "solver": None,
+    }
+    entry.update(overrides)
+    return entry
+
+
+def _sweep_json(*points) -> str:
+    return json.dumps(
+        {"schema": SweepTrace.SCHEMA, "meta": {}, "points": list(points)}
+    )
+
+
+class TestSweepTraceValidation:
+    def test_unknown_key_named(self):
+        with pytest.raises(InputValidationError, match="unknown key 'bogus'"):
+            SweepTrace.from_json(_sweep_json(_point_entry(bogus=1)))
+
+    def test_missing_key_named(self):
+        entry = _point_entry()
+        del entry["chunk"]
+        with pytest.raises(InputValidationError, match="missing key 'chunk'"):
+            SweepTrace.from_json(_sweep_json(entry))
+
+    def test_non_object_point_rejected(self):
+        with pytest.raises(InputValidationError, match="point 0"):
+            SweepTrace.from_json(_sweep_json([6, 0]))
+
+    def test_old_format_point_loads(self):
+        """Points written while the solver had a parallel frontier carry
+        two executor keys; they are dropped on read."""
+        old = _point_entry(solver_executor="serial", solver_executor_fallback="")
+        trace = SweepTrace.from_json(_sweep_json(old))
+        assert trace.records[0].word_length == 6
+        assert "solver_executor" not in json.loads(trace.to_json())["points"][0]
+
+
 class TestEngineValidation:
     def test_empty_word_lengths_rejected(self, small_train):
         with pytest.raises(DataError):
@@ -316,9 +357,9 @@ class TestEngineValidation:
         "kwargs",
         [
             {"workers": 0},
-            {"executor": "fork-bomb"},
             {"point_time_limit": 0.0},
             {"point_time_limit": -1.0},
+            {"point_time_limit": {6: 0.0}},
         ],
     )
     def test_bad_sweep_config_rejected(self, kwargs):

@@ -1,6 +1,6 @@
 """Hypothesis property tests for the solver telemetry invariants.
 
-Invariants checked on randomized toy instances, serial and parallel:
+Invariants checked on randomized toy instances:
 
 - the counters derived from the event stream equal the driver's
   :class:`BranchAndBoundStats` (``SolverTrace.verify_counters``),
@@ -8,14 +8,19 @@ Invariants checked on randomized toy instances, serial and parallel:
 - the incumbent cost is non-increasing across the event stream,
 - every reported lower bound is ≤ the final cost (+ the absolute gap and
   a float slack),
-- the JSON export round-trips events, stats, and the stop reason.
+- the JSON export round-trips events, stats, and the stop reason,
+  and loading rejects malformed events with a named key or kind.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import InputValidationError
 from repro.optim.bnb import BranchAndBoundConfig, BranchAndBoundSolver
 from repro.optim.trace import SolverTrace, TraceProgress
 
@@ -27,7 +32,6 @@ instances = st.fixed_dictionaries(
     {
         "seed": st.integers(min_value=0, max_value=10**6),
         "ndim": st.integers(min_value=1, max_value=3),
-        "workers": st.sampled_from([1, 3]),
         "strategy": st.sampled_from(["best-first", "depth-first"]),
         "max_nodes": st.sampled_from([5, 50, 10**6]),
     }
@@ -40,8 +44,6 @@ def _solve(params) -> "tuple[SolverTrace, object]":
     step = float(rng.choice([0.25, 0.125]))
     problem = QuadraticGridProblem(target, -1.0, 1.0, step)
     config = BranchAndBoundConfig(
-        workers=params["workers"],
-        executor="thread",
         strategy=params["strategy"],
         max_nodes=params["max_nodes"],
     )
@@ -102,8 +104,7 @@ class TestTelemetryInvariants:
 
     def test_events_sequenced_and_timestamped(self):
         trace, _ = _solve(
-            {"seed": 0, "ndim": 2, "workers": 1, "strategy": "best-first",
-             "max_nodes": 10**6}
+            {"seed": 0, "ndim": 2, "strategy": "best-first", "max_nodes": 10**6}
         )
         seqs = [e.seq for e in trace.events]
         assert seqs == list(range(len(trace.events)))
@@ -121,3 +122,30 @@ class TestTelemetryInvariants:
             assert snap.nodes_expanded <= result.stats.nodes_expanded
             if snap.lower_bound is not None:
                 assert snap.lower_bound <= result.cost + _SLACK
+
+
+def _trace_json(*events) -> str:
+    return json.dumps(
+        {"schema": SolverTrace.SCHEMA, "stats": None, "events": list(events)}
+    )
+
+
+class TestTraceFileValidation:
+    def test_unknown_key_named(self):
+        event = {"kind": "start", "seq": 0, "t": 0.0, "colour": "red"}
+        with pytest.raises(InputValidationError, match="unknown key 'colour'"):
+            SolverTrace.from_json(_trace_json(event))
+
+    def test_missing_key_named(self):
+        with pytest.raises(InputValidationError, match="missing key 't'"):
+            SolverTrace.from_json(_trace_json({"kind": "start", "seq": 0}))
+
+    def test_unknown_kind_named(self):
+        # ``record()`` rejects this kind, so loading must too.
+        event = {"kind": "executor", "seq": 0, "t": 0.0, "detail": "thread"}
+        with pytest.raises(InputValidationError, match="unknown kind 'executor'"):
+            SolverTrace.from_json(_trace_json(event))
+
+    def test_non_object_event_rejected(self):
+        with pytest.raises(InputValidationError, match="trace event 0"):
+            SolverTrace.from_json(_trace_json(["start", 0, 0.0]))
