@@ -65,7 +65,7 @@ def test_native_vs_fast_throughput(save_result, paper_budget):
     classifier = _classifier()
     raws = _raw_batch(classifier, num_samples)
 
-    fast = BatchInferenceEngine(classifier, backend="fast")
+    fast = BatchInferenceEngine(classifier)
     assert fast.backend == "fast"
     native = BatchInferenceEngine(classifier, backend="native")
 

@@ -68,7 +68,7 @@ def test_serve_engine_throughput(save_result, paper_budget, merge_bench):
     per_sample_labels = classifier.predict_bitexact(features)
     timings["predict_bitexact (np.vectorize)"] = time.perf_counter() - started
 
-    engine_obj = BatchInferenceEngine(classifier, force_object=True)
+    engine_obj = BatchInferenceEngine(classifier, backend="object")
     started = time.perf_counter()
     object_labels = engine_obj.predict(features)
     timings["engine (object fallback)"] = time.perf_counter() - started

@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("auto", "fast", "object", "native"),
+        choices=("auto", "object", "native"),
         default="auto",
         help="engine backend; 'native' compiles each artifact's C kernel "
         "(falls back to auto with a printed reason if it cannot)",
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--artifact", metavar="PATH", required=True)
     predict.add_argument(
         "--backend",
-        choices=("auto", "fast", "object", "native"),
+        choices=("auto", "object", "native"),
         default="auto",
         help="engine backend (as for 'serve'); 'native' uses the compiled "
         "C kernel when available",

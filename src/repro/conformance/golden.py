@@ -166,8 +166,8 @@ def _record_serve_engine() -> dict:
         classifier = case_classifier(case)
         features = case_features(case)
         paths = {}
-        for label, force_object in (("fast", False), ("object", True)):
-            engine = BatchInferenceEngine(classifier, force_object=force_object)
+        for label, backend in (("fast", "auto"), ("object", "object")):
+            engine = BatchInferenceEngine(classifier, backend=backend)
             result = engine.run(features)
             paths[label] = {
                 "fast_path": bool(engine.fast_path),
@@ -422,7 +422,7 @@ def _record_native_engine() -> dict:
             )
         )
 
-    object_agrees = _agrees(BatchInferenceEngine(classifier, force_object=True))
+    object_agrees = _agrees(BatchInferenceEngine(classifier, backend="object"))
     native = BatchInferenceEngine(classifier, backend="native")
     native_agrees = native.backend != "native" or _agrees(native)
     return {

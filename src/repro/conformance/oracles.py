@@ -100,8 +100,8 @@ class EngineDatapathOracle(Oracle):
         features = cst.case_features(case)
         datapath = classifier.datapath()
         results = {
-            "fast": BatchInferenceEngine(classifier, force_object=False).run(features),
-            "object": BatchInferenceEngine(classifier, force_object=True).run(features),
+            "fast": BatchInferenceEngine(classifier).run(features),
+            "object": BatchInferenceEngine(classifier, backend="object").run(features),
             "run_raw": BatchInferenceEngine(classifier).run_raw(
                 np.asarray(case["feature_raws"], dtype=object)
             ),
@@ -483,7 +483,8 @@ class WireRoundtripOracle(Oracle):
     encoded, decoded, and served must produce exactly the bits of serving
     the original array directly (both the float and raw-word lanes), and
     the response codec must round-trip every result field.  Adversarial
-    frames (truncation, bit flips, ragged lengths, header corruption) must
+    frames of all nine kinds (truncation, bit flips, ragged lengths, header
+    corruption) must
     produce a clean ``DataError`` — never another exception and never a
     partially decoded frame."""
 

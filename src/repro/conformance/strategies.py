@@ -256,33 +256,71 @@ def case_wire_frame(case: dict) -> bytes:
 
 
 @st.composite
+def _wire_frames(draw, kind: int) -> bytes:
+    """One valid frame of ``kind`` (1-9) with small drawn contents."""
+    from ..serve import wire
+
+    if kind == wire.KIND_REQUEST:
+        return case_wire_frame(draw(wire_cases(max_samples=3)))
+    if kind == wire.KIND_ERROR:
+        return wire.encode_error(
+            draw(st.sampled_from([400, 404, 409, 503])),
+            draw(st.text(max_size=20)),
+            shed=draw(st.booleans()),
+        )
+    n = draw(st.integers(min_value=0, max_value=3))
+    words = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    counts = st.integers(min_value=0, max_value=2**32 - 1)
+    digest = draw(st.text(alphabet="0123456789abcdef", max_size=64))
+    key = draw(st.text(min_size=1, max_size=8))
+    if kind == wire.KIND_RESPONSE:
+        return wire.encode_response(
+            digest, draw(words), draw(labels), draw(counts), draw(counts)
+        )
+    if kind == wire.KIND_STREAM_OPEN:
+        config = st.dictionaries(st.text(max_size=6), st.integers(), max_size=3)
+        return wire.encode_stream_open(key, draw(config))
+    if kind == wire.KIND_STREAM_OPENED:
+        return wire.encode_stream_opened(key, digest)
+    if kind == wire.KIND_STREAM_CHUNK:
+        samples = st.lists(finite_floats(8.0), min_size=1, max_size=4)
+        return wire.encode_stream_chunk(key, draw(counts), draw(samples))
+    if kind == wire.KIND_STREAM_RESULT:
+        indices = st.lists(counts, min_size=n, max_size=n)
+        return wire.encode_stream_result(
+            draw(counts), draw(indices), draw(words), draw(labels),
+            draw(counts), draw(counts),
+        )
+    if kind == wire.KIND_STREAM_CLOSE:
+        return wire.encode_stream_close(key)
+    return wire.encode_stream_closed(key, draw(counts), n, n)
+
+
+@st.composite
 def wire_frame_mutations(draw) -> dict:
-    """Adversarial wire frames: a valid request frame, then one corruption.
+    """Adversarial wire frames: a valid frame of any kind, then one corruption.
 
     The contract under test (see the ``wire_roundtrip`` oracle and
     ``tests/test_serve_wire.py``): the decoder answers *any* byte string
     with either a clean :class:`~repro.errors.DataError` or a fully decoded
     frame — never another exception type, never a hang, never partially
-    decoded output.  Cases are JSON-able (the frame travels as hex) so
-    shrunk examples replay from a witness file.
+    decoded output.  The base frame is drawn from all nine kinds, so every
+    decoder meets truncation, length, reserved-field and kind corruption;
+    the dtype and shape mutations exist only for kind-1 requests.  Cases
+    are JSON-able (the frame travels as hex) so shrunk examples replay from
+    a witness file.
     """
-    frame = bytearray(case_wire_frame(draw(wire_cases(max_samples=3))))
-    op = draw(
-        st.sampled_from(
-            [
-                "truncate",
-                "flip",
-                "magic",
-                "length_up",
-                "length_huge",
-                "kind",
-                "dtype",
-                "reserved",
-                "shape",
-                "random",
-            ]
-        )
-    )
+    from ..serve import wire
+
+    kind = draw(st.integers(min_value=wire.KIND_REQUEST, max_value=wire.KIND_STREAM_CLOSED))
+    frame = bytearray(draw(_wire_frames(kind)))
+    ops = ["truncate", "flip", "magic", "length_up", "length_huge", "kind", "random"]
+    if kind != wire.KIND_ERROR:  # its shed flag sits where others reserve a byte
+        ops.append("reserved")
+    if kind == wire.KIND_REQUEST:
+        ops += ["dtype", "shape"]
+    op = draw(st.sampled_from(ops))
     if op == "truncate":
         frame = frame[: draw(st.integers(min_value=0, max_value=len(frame) - 1))]
     elif op == "flip":
@@ -298,16 +336,18 @@ def wire_frame_mutations(draw) -> dict:
         frame[4:8] = draw(st.integers(2**24, 2**32 - 1)).to_bytes(4, "little")
     elif op == "kind":
         frame[8] = draw(st.integers(min_value=0, max_value=255))
+    elif op == "reserved" and kind == wire.KIND_REQUEST:
+        frame[10:12] = draw(st.integers(1, 0xFFFF)).to_bytes(2, "little")
+    elif op == "reserved":
+        frame[9] = draw(st.integers(min_value=1, max_value=255))
     elif op == "dtype":
         frame[9] = draw(st.integers(min_value=2, max_value=255))
-    elif op == "reserved":
-        frame[10:12] = draw(st.integers(1, 0xFFFF)).to_bytes(2, "little")
     elif op == "shape":
         # n_samples field of the request header (magic+len+BBHIH = offset 18).
         frame[18:22] = draw(st.integers(0, 2**31)).to_bytes(4, "little")
     elif op == "random":
         frame = bytearray(draw(st.binary(min_size=0, max_size=200)))
-    return {"frame_hex": bytes(frame).hex(), "op": op}
+    return {"frame_hex": bytes(frame).hex(), "op": op, "kind": kind}
 
 
 @st.composite

@@ -63,7 +63,7 @@ _INT64_MAGNITUDE_BITS = 63
 #: Accepted ``backend=`` values: ``auto`` picks int64-fast when exact else
 #: object; the explicit modes pin one path (``native`` falls back to auto
 #: with a recorded reason when the kernel cannot be built).
-ENGINE_BACKENDS = ("auto", "fast", "object", "native")
+ENGINE_BACKENDS = ("auto", "object", "native")
 
 
 def int64_path_available(fmt: QFormat, num_features: int) -> bool:
@@ -163,13 +163,12 @@ class BatchInferenceEngine:
         Overflow policy of products and accumulator, as in
         :class:`~repro.fixedpoint.datapath.DatapathConfig`; ``WRAP`` matches
         the hardware.
-    force_object:
-        Skip the int64 fast path even when it would be exact (used by the
-        differential tests to cover the fallback on small formats).
-        Equivalent to ``backend="object"``; kept for backward compatibility.
     backend:
         One of :data:`ENGINE_BACKENDS`.  ``"auto"`` (default) reproduces the
         historical behaviour (int64 fast path when exact, else object);
+        ``"object"`` skips the int64 fast path even when it would be exact
+        (the differential tests use it to cover the fallback on small
+        formats);
         ``"native"`` additionally compiles and loads the generated C kernel,
         falling back to ``"auto"`` — with the reason recorded on
         :attr:`native_fallback_reason` — when it cannot (no C compiler,
@@ -183,7 +182,6 @@ class BatchInferenceEngine:
         self,
         classifier: "FixedPointLinearClassifier",
         overflow: "OverflowMode | str" = OverflowMode.WRAP,
-        force_object: bool = False,
         backend: str = "auto",
         native_cache: "str | None" = None,
     ) -> None:
@@ -191,8 +189,6 @@ class BatchInferenceEngine:
             raise InputValidationError(
                 f"unknown backend {backend!r}; expected one of {ENGINE_BACKENDS}"
             )
-        if force_object:
-            backend = "object"
         fmt = classifier.fmt
         self.fmt = fmt
         self.rounding = classifier.rounding

@@ -29,9 +29,12 @@ HTTP connections stay single-request (``Connection: close``): that
 protocol surface stays a few dozen lines and trivially auditable, and the
 throughput-critical path is the wire protocol anyway.
 
-Overload produces *structured* 503s on both protocols: admission-control
-rejections (:class:`~repro.errors.OverloadedError`) and queue-deadline
-expiries (:class:`~repro.errors.DeadlineExceededError`) are counted on the
+Both protocols run each operation through one shared core (predict, and
+the stream open/chunk/close steps) and map every failure to its status
+through one policy, :meth:`InferenceServer._failure`.  Overload produces
+*structured* 503s: admission-control rejections
+(:class:`~repro.errors.OverloadedError`) and queue-deadline expiries
+(:class:`~repro.errors.DeadlineExceededError`) are counted on the
 ``requests_shed_total`` metric, separate from errors, and shed requests
 are never partially served — an accepted request is always answered with
 exactly the per-sample datapath's bits.
@@ -48,11 +51,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -69,14 +71,23 @@ from ..errors import (
 )
 from . import wire
 from .batcher import BatcherConfig, MicroBatcher
+from .engine import BatchResult
 from .metrics import ServeMetrics
-from .registry import ModelRegistry
-from .stream import FrontEndConfig, StreamManager
+from .registry import ModelRegistry, RegisteredModel
+from .stream import FrontEndConfig, StreamManager, StreamSession
 
 __all__ = ["ServeConfig", "InferenceServer", "ServerHandle", "start_server_thread"]
 
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-_MAX_SAMPLES_PER_REQUEST = 65536
+# Statuses of the failures that are neither sheds (503) nor malformed
+# requests (400); the first matching class wins.
+_ERROR_STATUS = (
+    (ModelNotFoundError, 404),
+    (StreamSessionError, 409),
+    (CertificationError, 403),
+)
+_POST_PATHS = ("/predict", "/stream/open", "/stream/chunk", "/stream/close")
+# The frame kinds a client may send; any other kind closes the connection.
+_CLIENT_FRAMES = (wire.WireRequest, wire.StreamOpen, wire.StreamChunk, wire.StreamClose)
 
 
 @dataclass(frozen=True)
@@ -114,10 +125,10 @@ def _parse_features(payload: object) -> np.ndarray:
     if not isinstance(payload, list) or not payload:
         raise ServeError("'features' must be a non-empty list")
     rows = payload if isinstance(payload[0], list) else [payload]
-    if len(rows) > _MAX_SAMPLES_PER_REQUEST:
+    if len(rows) > wire.MAX_SAMPLES_PER_FRAME:
         raise ServeError(
             f"request carries {len(rows)} samples; "
-            f"limit is {_MAX_SAMPLES_PER_REQUEST}"
+            f"limit is {wire.MAX_SAMPLES_PER_FRAME}"
         )
     try:
         features = np.asarray(rows, dtype=np.float64)
@@ -142,6 +153,25 @@ def _parse_deadline(payload: dict) -> int:
             f"'deadline_ms' must be a non-negative integer, got {deadline!r}"
         )
     return deadline
+
+
+def _parse_samples(payload: dict) -> "Tuple[int, np.ndarray]":
+    """Validate a ``/stream/chunk`` body's ``seq`` and flat ``samples``."""
+    seq = payload.get("seq")
+    if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+        raise ServeError(f"'seq' must be a non-negative integer, got {seq!r}")
+    samples = payload.get("samples")
+    if not isinstance(samples, list) or not samples:
+        raise ServeError("'samples' must be a non-empty list")
+    try:
+        chunk = np.asarray(samples, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ServeError(f"samples are not numeric: {exc}") from exc
+    if chunk.ndim != 1:
+        raise ServeError(f"'samples' must be a flat list, got shape {chunk.shape}")
+    if not np.all(np.isfinite(chunk)):
+        raise ServeError("samples contain NaN or infinity")
+    return seq, chunk
 
 
 class InferenceServer:
@@ -216,6 +246,80 @@ class InferenceServer:
         self.streams.close_all()
 
     # ------------------------------------------------------------------ #
+    # One core per operation and one error policy, shared by both protocols
+    # ------------------------------------------------------------------ #
+    def _failure(
+        self, exc: Exception, shed_reason: str = "overloaded"
+    ) -> "Tuple[int, Optional[str]]":
+        """Map a failed request to ``(status, shed reason)`` and count it.
+
+        The error policy of every handler on both protocols (tabled in
+        ``docs/serving.md``): an overload or an expired queue deadline is a
+        503 shed, counted on ``requests_shed_total`` under its reason;
+        every other failure counts on ``errors_total`` and answers with
+        its ``_ERROR_STATUS`` entry, else 400, and no reason.
+        ``shed_reason`` names the operation's overload source: the session
+        cap on open (``"sessions"``) or, by default, batcher admission
+        (``"overloaded"``).
+        """
+        if isinstance(exc, (OverloadedError, DeadlineExceededError)):
+            reason = "deadline" if isinstance(exc, DeadlineExceededError) else shed_reason
+            self.metrics.observe_shed(reason)
+            return 503, reason
+        self.metrics.observe_error()
+        return next((s for cls, s in _ERROR_STATUS if isinstance(exc, cls)), 400), None
+
+    async def _predict(
+        self,
+        started: float,
+        model_key: "str | None",
+        features: np.ndarray,
+        raw: bool = False,
+        deadline_ms: int = 0,
+    ) -> "Tuple[BatchResult, RegisteredModel, float]":
+        """Serve one predict request; returns (result, model, latency).
+
+        The batcher returns the model captured at submit time, so the
+        reported name/hash always describe the engine that actually
+        computed the result, even across hot reloads or unregisters.
+        """
+        result, model = await self.batcher.submit(
+            model_key, features, raw=raw, deadline_ms=deadline_ms
+        )
+        elapsed = time.perf_counter() - started
+        self.metrics.observe_request(
+            model.name, result.num_samples, elapsed, content_hash=model.content_hash
+        )
+        return result, model, elapsed
+
+    def _open(self, key: str, config_payload: dict) -> StreamSession:
+        """Resolve model + front-end config and open the session."""
+        payload = dict(config_payload)
+        model_key = payload.pop("model", None)
+        if model_key is not None and not isinstance(model_key, str):
+            raise ServeError(
+                f"stream config 'model' must be a string, got {model_key!r}"
+            )
+        model = self.registry.get(model_key)
+        config = FrontEndConfig.from_dict(payload)
+        return self.streams.open(key, model, config)
+
+    async def _chunk(
+        self, key: str, seq: int, samples: np.ndarray
+    ) -> "Tuple[StreamSession, List[int], Optional[BatchResult]]":
+        """Advance a session by one chunk and classify the windows it completed.
+
+        Returns the session, the completed windows' indices, and their
+        batch result — None when the chunk completed no window.
+        """
+        session = self.streams.get(key)
+        features, indices = session.process_chunk(seq, samples)
+        self.metrics.observe_stream_chunk(samples.size, len(indices))
+        if not indices:
+            return session, indices, None
+        return session, indices, await self.batcher.submit_model(session.model, features)
+
+    # ------------------------------------------------------------------ #
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -228,7 +332,7 @@ class InferenceServer:
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
             if self.config.wire and prefix == wire.WIRE_MAGIC:
-                await self._handle_wire_connection(reader, writer)
+                await self._handle_wire_connection(prefix, reader, writer)
             else:
                 await self._handle_http_connection(prefix, reader, writer)
         finally:
@@ -288,7 +392,7 @@ class InferenceServer:
                     return 400, "application/json", json.dumps(
                         {"error": "bad Content-Length"}
                     )
-        if content_length > _MAX_BODY_BYTES:
+        if content_length > wire.MAX_BODY_BYTES:
             return 413, "application/json", json.dumps({"error": "body too large"})
         body = await reader.readexactly(content_length) if content_length else b""
 
@@ -305,61 +409,50 @@ class InferenceServer:
             return 200, "text/plain; version=0.0.4", self.metrics.render_prometheus()
         if path == "/metrics.json" and method == "GET":
             return 200, "application/json", self.metrics.to_json()
-        if path == "/predict":
-            if method != "POST":
-                return 405, "application/json", json.dumps(
-                    {"error": "use POST /predict"}
-                )
-            return await self._predict(body)
-        if path in ("/stream/open", "/stream/chunk", "/stream/close"):
+        if path in _POST_PATHS:
             if method != "POST":
                 return 405, "application/json", json.dumps(
                     {"error": f"use POST {path}"}
                 )
-            return await self._stream_http(path, body)
+            return await self._post(path, body)
         return 404, "application/json", json.dumps({"error": f"no route {path}"})
 
-    async def _predict(self, body: bytes) -> "Tuple[int, str, str]":
+    async def _post(self, path: str, body: bytes) -> "Tuple[int, str, str]":
+        """Serve one JSON POST endpoint; any failure answers per :meth:`_failure`.
+
+        ``/predict`` latency is timed from here, before the body is parsed.
+        The ``/stream/*`` endpoints share the session registry and signal
+        chain with the wire frames, so the two surfaces are
+        interchangeable mid-session (a session opened over HTTP can be fed
+        over the wire and vice versa).
+        """
         started = time.perf_counter()
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
             if not isinstance(payload, dict):
                 raise ServeError("request body must be a JSON object")
-            features = _parse_features(payload.get("features"))
-            model_key = payload.get("model")
-            deadline_ms = _parse_deadline(payload)
-            # The batcher returns the model captured at submit time, so the
-            # reported name/hash always describe the engine that actually
-            # computed the result, even across hot reloads or unregisters.
-            result, model = await self.batcher.submit(
-                model_key, features, deadline_ms=deadline_ms
-            )
-        except OverloadedError as exc:
-            self.metrics.observe_shed("overloaded")
-            return 503, "application/json", json.dumps(
-                {"error": str(exc), "shed": True, "reason": "overloaded"}
-            )
-        except DeadlineExceededError as exc:
-            self.metrics.observe_shed("deadline")
-            return 503, "application/json", json.dumps(
-                {"error": str(exc), "shed": True, "reason": "deadline"}
-            )
-        except (ServeError, ModelNotFoundError, ValueError) as exc:
-            self.metrics.observe_error()
-            status = 404 if isinstance(exc, ModelNotFoundError) else 400
-            return status, "application/json", json.dumps({"error": str(exc)})
-        except (ReproError, json.JSONDecodeError) as exc:
-            self.metrics.observe_error()
-            return 400, "application/json", json.dumps({"error": str(exc)})
-        elapsed = time.perf_counter() - started
-        self.metrics.observe_request(
-            model.name,
-            result.num_samples,
-            elapsed,
-            content_hash=model.content_hash,
+            if path == "/predict":
+                doc = await self._predict_json(payload, started)
+            else:
+                doc = await self._stream_json(path, payload)
+        except (ReproError, ValueError) as exc:
+            shed_reason = "sessions" if path == "/stream/open" else "overloaded"
+            status, reason = self._failure(exc, shed_reason)
+            error: dict = {"error": str(exc)}
+            if reason is not None:
+                error.update(shed=True, reason=reason)
+            return status, "application/json", json.dumps(error)
+        return 200, "application/json", json.dumps(doc)
+
+    async def _predict_json(self, payload: dict, started: float) -> dict:
+        features = _parse_features(payload.get("features"))
+        model_key = payload.get("model")
+        deadline_ms = _parse_deadline(payload)
+        result, model, elapsed = await self._predict(
+            started, model_key, features, deadline_ms=deadline_ms
         )
         resolution = model.classifier.fmt.resolution
-        response = {
+        return {
             "model": model.name,
             "content_hash": model.content_hash,
             "backend": model.engine.backend,
@@ -371,92 +464,38 @@ class InferenceServer:
             },
             "latency_seconds": elapsed,
         }
-        return 200, "application/json", json.dumps(response)
 
-    # ------------------------------------------------------------------ #
-    # Streaming sessions over HTTP
-    # ------------------------------------------------------------------ #
-    async def _stream_http(self, path: str, body: bytes) -> "Tuple[int, str, str]":
-        """``POST /stream/{open,chunk,close}`` — the JSON streaming surface.
-
-        Same session registry and signal chain as the wire frames, so the
-        two surfaces are interchangeable mid-session (a session opened over
-        HTTP can be fed over the wire and vice versa).
-        """
-        shed_reason = "overloaded" if path == "/stream/chunk" else "sessions"
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict):
-                raise ServeError("request body must be a JSON object")
-            key = payload.get("session")
-            if not isinstance(key, str) or not key:
-                raise ServeError("'session' must be a non-empty string")
-            if len(key.encode("utf-8")) > wire.MAX_SESSION_KEY_BYTES:
-                raise ServeError(
-                    f"'session' exceeds {wire.MAX_SESSION_KEY_BYTES} bytes"
-                )
-            if path == "/stream/open":
-                response = self._stream_open_http(key, payload)
-            elif path == "/stream/chunk":
-                response = await self._stream_chunk_http(key, payload)
-            else:
-                response = self._stream_close_http(key)
-        except (ReproError, json.JSONDecodeError) as exc:
-            if isinstance(exc, json.JSONDecodeError):
-                self.metrics.observe_error()
-                return 400, "application/json", json.dumps({"error": str(exc)})
-            status, shed = self._stream_status(exc, shed_reason)
-            doc: dict = {"error": str(exc)}
-            if shed:
-                doc["shed"] = True
-                doc["reason"] = shed_reason
-            return status, "application/json", json.dumps(doc)
-        return 200, "application/json", json.dumps(response)
-
-    def _stream_open_http(self, key: str, payload: dict) -> dict:
-        config_payload = payload.get("config", {})
-        if not isinstance(config_payload, dict):
-            raise ServeError("'config' must be a JSON object")
-        config_payload = dict(config_payload)
-        if "model" in payload:
-            config_payload["model"] = payload["model"]
-        session = self._open_session(key, config_payload)
-        return {
-            "session": key,
-            "model": session.model.name,
-            "content_hash": session.model.content_hash,
-            "config": session.config.to_dict(),
-        }
-
-    async def _stream_chunk_http(self, key: str, payload: dict) -> dict:
-        seq = payload.get("seq")
-        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-            raise ServeError(f"'seq' must be a non-negative integer, got {seq!r}")
-        samples = payload.get("samples")
-        if not isinstance(samples, list) or not samples:
-            raise ServeError("'samples' must be a non-empty list")
-        try:
-            chunk = np.asarray(samples, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ServeError(f"samples are not numeric: {exc}") from exc
-        if chunk.ndim != 1:
-            raise ServeError(
-                f"'samples' must be a flat list, got shape {chunk.shape}"
-            )
-        if not np.all(np.isfinite(chunk)):
-            raise ServeError("samples contain NaN or infinity")
-        session = self.streams.get(key)
-        features, indices = session.process_chunk(seq, chunk)
-        self.metrics.observe_stream_chunk(chunk.size, len(indices))
-        response = {
+    async def _stream_json(self, path: str, payload: dict) -> dict:
+        key = payload.get("session")
+        if not isinstance(key, str) or not key:
+            raise ServeError("'session' must be a non-empty string")
+        if len(key.encode("utf-8")) > wire.MAX_SESSION_KEY_BYTES:
+            raise ServeError(f"'session' exceeds {wire.MAX_SESSION_KEY_BYTES} bytes")
+        if path == "/stream/close":
+            return self.streams.close(key).summary()
+        if path == "/stream/open":
+            config_payload = payload.get("config", {})
+            if not isinstance(config_payload, dict):
+                raise ServeError("'config' must be a JSON object")
+            if "model" in payload:
+                config_payload = {**config_payload, "model": payload["model"]}
+            session = self._open(key, config_payload)
+            return {
+                "session": key,
+                "model": session.model.name,
+                "content_hash": session.model.content_hash,
+                "config": session.config.to_dict(),
+            }
+        seq, chunk = _parse_samples(payload)
+        session, indices, result = await self._chunk(key, seq, chunk)
+        response: dict = {
             "session": key,
             "seq": seq,
             "windows": [],
             "overflow": {"product_events": 0, "accumulator_events": 0},
         }
-        if not indices:
+        if result is None:
             return response
-        result = await self.batcher.submit_model(session.model, features)
         resolution = session.model.classifier.fmt.resolution
         response["windows"] = [
             {
@@ -465,9 +504,7 @@ class InferenceServer:
                 "projection": float(int(raw) * resolution),
                 "projection_raw": int(raw),
             }
-            for index, label, raw in zip(
-                indices, result.labels, result.projection_raws
-            )
+            for index, label, raw in zip(indices, result.labels, result.projection_raws)
         ]
         response["overflow"] = {
             "product_events": result.product_overflow_events,
@@ -475,78 +512,43 @@ class InferenceServer:
         }
         return response
 
-    def _stream_close_http(self, key: str) -> dict:
-        return self.streams.close(key).summary()
-
     # ------------------------------------------------------------------ #
     # Binary wire protocol
     # ------------------------------------------------------------------ #
     async def _handle_wire_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self, header: bytes, reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
         """Serve frames until the peer hangs up or sends garbage.
 
-        On entry the four magic bytes of the first frame are already
-        consumed.  Protocol-level malformations (bad magic, oversized or
-        undecodable frames) answer with an error frame and close — there is
-        no reliable way to resynchronize a corrupt length-prefixed stream.
-        Request-level failures (unknown model, shed, wrong feature count)
-        answer with an error frame and keep the connection open: the frame
-        boundary was sound, so the stream is still in sync.
+        ``header`` holds the four magic bytes already read to pick the
+        protocol.  Protocol-level malformations (a bad header, an
+        undecodable body, a frame kind clients never send) answer with an
+        error frame and close — there is no reliable way to resynchronize a
+        corrupt length-prefixed stream.  Request-level failures (unknown
+        model, shed, wrong feature count) answer with an error frame and
+        keep the connection open: the frame boundary was sound, so the
+        stream is still in sync.
         """
-        first = True
         try:
             while not self._closing:
-                if not first:
-                    try:
-                        magic = await reader.readexactly(4)
-                    except (asyncio.IncompleteReadError, ConnectionError):
-                        return  # clean EOF between frames
-                    if magic != wire.WIRE_MAGIC:
-                        await self._send_frame(
-                            writer,
-                            wire.encode_error(400, "bad frame magic"),
-                        )
-                        return
-                first = False
                 try:
-                    length_bytes = await reader.readexactly(4)
-                    (body_len,) = struct.unpack("<I", length_bytes)
-                    if body_len > wire.MAX_BODY_BYTES:
-                        raise DataError(
-                            f"wire frame declares {body_len} body bytes; "
-                            f"limit is {wire.MAX_BODY_BYTES}"
-                        )
-                    body = await reader.readexactly(body_len)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return  # peer vanished mid-frame; nothing to answer
-                except DataError as exc:
-                    await self._send_frame(writer, wire.encode_error(400, str(exc)))
-                    return
-                try:
+                    # A frame header is 8 bytes: magic + uint32 body length.
+                    header += await reader.readexactly(8 - len(header))
+                    body = await reader.readexactly(wire.read_header(header))
                     request = wire.decode_body(body)
-                except DataError as exc:
-                    await self._send_frame(writer, wire.encode_error(400, str(exc)))
-                    return
-                if isinstance(request, wire.WireRequest):
-                    frame = await self._predict_wire(request)
-                elif isinstance(request, wire.StreamOpen):
-                    frame = self._stream_open_wire(request)
-                elif isinstance(request, wire.StreamChunk):
-                    frame = await self._stream_chunk_wire(request)
-                elif isinstance(request, wire.StreamClose):
-                    frame = self._stream_close_wire(request)
-                else:
-                    await self._send_frame(
-                        writer,
-                        wire.encode_error(
-                            400,
+                    if not isinstance(request, _CLIENT_FRAMES):
+                        raise DataError(
                             "only request (kind=1) and stream (kinds 4/6/8) "
-                            "frames are accepted",
-                        ),
-                    )
+                            "frames are accepted"
+                        )
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return  # clean EOF between frames, or the peer vanished
+                except DataError as exc:
+                    await self._send_frame(writer, self._error_frame(exc))
                     return
-                if not await self._send_frame(writer, frame):
+                header = b""
+                if not await self._send_frame(writer, await self._answer(request)):
                     return
         except asyncio.CancelledError:
             # Shutdown drain cancelled an idle connection; exit quietly.
@@ -562,124 +564,55 @@ class InferenceServer:
         except ConnectionError:
             return False
 
-    async def _predict_wire(self, request: wire.WireRequest) -> bytes:
-        started = time.perf_counter()
+    def _error_frame(self, exc: Exception, shed_reason: str = "overloaded") -> bytes:
+        status, reason = self._failure(exc, shed_reason)
+        return wire.encode_error(status, str(exc), shed=reason is not None)
+
+    async def _answer(
+        self,
+        request: "wire.WireRequest | wire.StreamOpen | wire.StreamChunk | wire.StreamClose",
+    ) -> bytes:
+        """Serve one client frame; every failure becomes an error frame."""
         try:
-            result, model = await self.batcher.submit(
-                request.model,
-                request.features,
-                raw=request.raw,
-                deadline_ms=request.deadline_ms,
-            )
-        except OverloadedError as exc:
-            self.metrics.observe_shed("overloaded")
-            return wire.encode_error(503, str(exc), shed=True)
-        except DeadlineExceededError as exc:
-            self.metrics.observe_shed("deadline")
-            return wire.encode_error(503, str(exc), shed=True)
-        except ModelNotFoundError as exc:
-            self.metrics.observe_error()
-            return wire.encode_error(404, str(exc))
-        except ReproError as exc:
-            self.metrics.observe_error()
-            return wire.encode_error(400, str(exc))
-        elapsed = time.perf_counter() - started
-        self.metrics.observe_request(
-            model.name,
-            result.num_samples,
-            elapsed,
-            content_hash=model.content_hash,
-        )
-        return wire.encode_response(
-            model.content_hash,
-            result.projection_raws,
-            result.labels,
-            result.product_overflow_events,
-            result.accumulator_overflow_events,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Streaming sessions (shared by the wire and HTTP surfaces)
-    # ------------------------------------------------------------------ #
-    def _stream_status(self, exc: ReproError, shed_reason: str) -> "Tuple[int, bool]":
-        """Map a streaming failure to (HTTP/wire status, shed?).
-
-        ``shed_reason`` distinguishes the two overload sources: the session
-        cap on open (``"sessions"``) and batcher admission on a chunk
-        (``"overloaded"``).
-        """
-        if isinstance(exc, OverloadedError):
-            self.metrics.observe_shed(shed_reason)
-            return 503, True
-        if isinstance(exc, DeadlineExceededError):
-            self.metrics.observe_shed("deadline")
-            return 503, True
-        self.metrics.observe_error()
-        if isinstance(exc, ModelNotFoundError):
-            return 404, False
-        if isinstance(exc, StreamSessionError):
-            return 409, False
-        if isinstance(exc, CertificationError):
-            return 403, False
-        return 400, False
-
-    def _open_session(self, key: str, config_payload: dict):
-        """Resolve model + config and open the session (both protocols)."""
-        payload = dict(config_payload)
-        model_key = payload.pop("model", None)
-        if model_key is not None and not isinstance(model_key, str):
-            raise ServeError(
-                f"stream config 'model' must be a string, got {model_key!r}"
-            )
-        model = self.registry.get(model_key)
-        config = FrontEndConfig.from_dict(payload)
-        return self.streams.open(key, model, config)
-
-    def _stream_open_wire(self, request: "wire.StreamOpen") -> bytes:
-        try:
-            session = self._open_session(request.key, request.config)
-        except ReproError as exc:
-            status, shed = self._stream_status(exc, "sessions")
-            return wire.encode_error(status, str(exc), shed=shed)
-        return wire.encode_stream_opened(
-            request.key, session.model.content_hash
-        )
-
-    async def _stream_chunk_wire(self, request: "wire.StreamChunk") -> bytes:
-        try:
-            session = self.streams.get(request.key)
-            features, indices = session.process_chunk(
-                request.seq, request.samples
-            )
-        except ReproError as exc:
-            status, shed = self._stream_status(exc, "overloaded")
-            return wire.encode_error(status, str(exc), shed=shed)
-        self.metrics.observe_stream_chunk(request.samples.size, len(indices))
-        if not indices:
-            return wire.encode_stream_result(request.seq, [], [], [], 0, 0)
-        try:
-            result = await self.batcher.submit_model(session.model, features)
-        except ReproError as exc:
-            status, shed = self._stream_status(exc, "overloaded")
-            return wire.encode_error(status, str(exc), shed=shed)
-        return wire.encode_stream_result(
-            request.seq,
-            indices,
-            result.projection_raws,
-            result.labels,
-            result.product_overflow_events,
-            result.accumulator_overflow_events,
-        )
-
-    def _stream_close_wire(self, request: "wire.StreamClose") -> bytes:
-        try:
+            if isinstance(request, wire.WireRequest):
+                result, model, _ = await self._predict(
+                    time.perf_counter(),
+                    request.model,
+                    request.features,
+                    raw=request.raw,
+                    deadline_ms=request.deadline_ms,
+                )
+                return wire.encode_response(
+                    model.content_hash,
+                    result.projection_raws,
+                    result.labels,
+                    result.product_overflow_events,
+                    result.accumulator_overflow_events,
+                )
+            if isinstance(request, wire.StreamOpen):
+                session = self._open(request.key, request.config)
+                return wire.encode_stream_opened(request.key, session.model.content_hash)
+            if isinstance(request, wire.StreamChunk):
+                _, indices, chunk_result = await self._chunk(
+                    request.key, request.seq, request.samples
+                )
+                if chunk_result is None:
+                    return wire.encode_stream_result(request.seq, [], [], [], 0, 0)
+                return wire.encode_stream_result(
+                    request.seq,
+                    indices,
+                    chunk_result.projection_raws,
+                    chunk_result.labels,
+                    chunk_result.product_overflow_events,
+                    chunk_result.accumulator_overflow_events,
+                )
             session = self.streams.close(request.key)
-        except ReproError as exc:
-            status, shed = self._stream_status(exc, "sessions")
-            return wire.encode_error(status, str(exc), shed=shed)
-        return wire.encode_stream_closed(
-            request.key, session.chunks, session.samples, session.windows
-        )
+            return wire.encode_stream_closed(
+                request.key, session.chunks, session.samples, session.windows
+            )
+        except (ReproError, ValueError) as exc:
+            shed_reason = "sessions" if isinstance(request, wire.StreamOpen) else "overloaded"
+            return self._error_frame(exc, shed_reason)
 
 
 # Read-only HTTP status-code table: never mutated, safe to share across

@@ -58,13 +58,16 @@ Error body (``kind=3``)::
     shed        uint8    1 when the request was load-shed, else 0
     status      uint16   400 / 404 / 503 / 500
     msg_len     uint16
-    message     msg_len bytes, UTF-8
+    message     msg_len bytes, UTF-8 (at most 1024, cut on a character
+                boundary)
 
 Every malformed input — bad magic, truncated frame, ragged ``n*m`` vs
 payload length, NaN/inf features, oversized frames — raises
 :class:`~repro.errors.DataError` from the decoder; the server maps that to
-a clean 400 error frame.  The decoder never blocks and never reads past
-``body_len``, so a hostile peer cannot hang a worker with a crafted frame.
+a clean 400 error frame.  Every reader of the byte stream checks the
+8-byte header through :func:`read_header` before it reads a body byte, so
+a hostile peer cannot make a worker buffer more than ``MAX_BODY_BYTES``,
+and the decoder never reads past ``body_len``.
 
 Streaming frames (v2)
 ---------------------
@@ -147,7 +150,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -190,6 +193,7 @@ __all__ = [
     "encode_stream_result",
     "encode_stream_close",
     "encode_stream_closed",
+    "read_header",
     "decode_body",
     "decode_frame",
     "split_frames",
@@ -211,15 +215,17 @@ KIND_STREAM_CLOSED = 9
 DTYPE_FLOAT64 = 0
 DTYPE_RAW_INT64 = 1
 
-#: Hard cap on one frame body — matches the HTTP path's 8 MiB body limit.
+#: Hard cap on one frame body; the HTTP path caps request bodies with it too.
 MAX_BODY_BYTES = 8 * 1024 * 1024
-#: Matches the HTTP path's per-request sample cap.
+#: Cap on samples per predict request or stream chunk, on both protocols.
 MAX_SAMPLES_PER_FRAME = 65536
 MAX_MODEL_KEY_BYTES = 256
 MAX_SESSION_KEY_BYTES = 256
 #: Cap on one stream-open config JSON (far beyond any real front end).
 MAX_CONFIG_BYTES = 65536
+_MAX_ERROR_BYTES = 1024  # error messages are cut to this many UTF-8 bytes
 
+_HEADER = struct.Struct("<4sI")  # magic body_len
 _REQUEST_HEAD = struct.Struct("<BBHIHII")  # kind dtype reserved deadline key n m
 _RESPONSE_HEAD = struct.Struct("<BBHHI")  # kind reserved status hash_len n
 _ERROR_HEAD = struct.Struct("<BBHH")  # kind shed status msg_len
@@ -330,19 +336,83 @@ class StreamClosed:
     windows: int
 
 
-def _frame(body: bytes) -> bytes:
-    return WIRE_MAGIC + struct.pack("<I", len(body)) + body
+_Frame = Union[
+    WireRequest, WireResponse, WireError, StreamOpen, StreamOpened,
+    StreamChunk, StreamResult, StreamClose, StreamClosed,
+]
 
 
-def _session_key_bytes(key: str) -> bytes:
+# --------------------------------------------------------------------- #
+# Checks shared by every frame kind
+# --------------------------------------------------------------------- #
+def _at_most(count: int, limit: int, what: str) -> None:
+    if count > limit:
+        raise DataError(f"{what} is {count}; limit is {limit}")
+
+
+def _uint32(value: int, what: str) -> int:
+    if not 0 <= value <= 0xFFFFFFFF:
+        raise DataError(f"{what} {value} outside [0, 2**32)")
+    return int(value)
+
+
+def _finite(values: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{what} contain NaN or infinity")
+
+
+def _need(data: bytes, count: int, what: str) -> None:
+    if len(data) < count:
+        raise DataError(
+            f"truncated wire frame: {what} needs {count} bytes, got {len(data)}"
+        )
+
+
+def _head(head: struct.Struct, body: bytes, what: str) -> tuple:
+    _need(body, head.size, f"{what} header")
+    return head.unpack_from(body)
+
+
+def _sized(body: bytes, reserved: int, expected: int, what: str) -> None:
+    """A decoded header's reserved field must be 0 and its lengths exact."""
+    if reserved != 0:
+        raise DataError(f"{what} reserved field must be 0, got {reserved}")
+    if len(body) != expected:
+        raise DataError(
+            f"ragged {what} frame: needs a {expected}-byte body, got {len(body)}"
+        )
+
+
+def _session_key(key: str) -> bytes:
     encoded = key.encode("utf-8")
     if not encoded:
         raise DataError("session key must be non-empty")
-    if len(encoded) > MAX_SESSION_KEY_BYTES:
-        raise DataError(
-            f"session key is {len(encoded)} bytes; limit is {MAX_SESSION_KEY_BYTES}"
-        )
+    _at_most(len(encoded), MAX_SESSION_KEY_BYTES, "session key length")
     return encoded
+
+
+def _text(body: bytes, start: int, length: int, what: str,
+          encoding: str = "utf-8") -> str:
+    try:
+        return body[start:start + length].decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} is not valid {encoding}: {exc}") from exc
+
+
+def _key(body: bytes, start: int, length: int) -> str:
+    if length < 1:
+        raise DataError("frame carries an empty session key")
+    _at_most(length, MAX_SESSION_KEY_BYTES, "session key length")
+    return _text(body, start, length, "session key")
+
+
+def _frame(body: bytes) -> bytes:
+    _at_most(len(body), MAX_BODY_BYTES, "frame body length")
+    return _HEADER.pack(WIRE_MAGIC, len(body)) + body
+
+
+def _array(values: Any, dtype: type) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(values, dtype=dtype))
 
 
 # --------------------------------------------------------------------- #
@@ -360,44 +430,29 @@ def encode_request(
     float64 real features.  The sample/key/body caps are enforced here too,
     so a client cannot even build a frame its server would reject.
     """
-    arr = np.ascontiguousarray(
-        np.asarray(features, dtype=np.int64 if raw else np.float64)
-    )
+    arr = _array(features, np.int64 if raw else np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise DataError(
             f"wire request needs a (n, M) batch with M >= 1, got shape {arr.shape}"
         )
-    if not raw and not np.all(np.isfinite(arr)):
-        raise DataError("wire request features contain NaN or infinity")
+    if not raw:
+        _finite(arr, "wire request features")
     n, m = arr.shape
-    if n > MAX_SAMPLES_PER_FRAME:
-        raise DataError(
-            f"wire request carries {n} samples; limit is {MAX_SAMPLES_PER_FRAME}"
-        )
+    _at_most(n, MAX_SAMPLES_PER_FRAME, "wire request sample count")
     key = (model or "").encode("utf-8")
-    if len(key) > MAX_MODEL_KEY_BYTES:
-        raise DataError(
-            f"model key is {len(key)} bytes; limit is {MAX_MODEL_KEY_BYTES}"
-        )
-    if deadline_ms < 0 or deadline_ms > 0xFFFFFFFF:
-        raise DataError(f"deadline_ms {deadline_ms} outside [0, 2**32)")
+    _at_most(len(key), MAX_MODEL_KEY_BYTES, "model key length")
     head = _REQUEST_HEAD.pack(
         KIND_REQUEST,
         DTYPE_RAW_INT64 if raw else DTYPE_FLOAT64,
         0,
-        int(deadline_ms),
+        _uint32(deadline_ms, "deadline_ms"),
         len(key),
         n,
         m,
     )
-    body = head + key + arr.astype("<i8" if raw else "<f8", copy=False).tobytes()
-    if len(body) > MAX_BODY_BYTES:
-        raise DataError(
-            f"wire request body is {len(body)} bytes; limit is {MAX_BODY_BYTES}"
-        )
-    return _frame(body)
+    return _frame(head + key + arr.astype("<i8" if raw else "<f8", copy=False).tobytes())
 
 
 def encode_response(
@@ -409,51 +464,53 @@ def encode_response(
     status: int = 200,
 ) -> bytes:
     """Encode one predict result as a response frame."""
-    raws = np.ascontiguousarray(np.asarray(projection_raws, dtype=np.int64))
-    labs = np.ascontiguousarray(np.asarray(labels, dtype=np.uint8))
+    raws = _array(projection_raws, np.int64)
+    labs = _array(labels, np.uint8)
     if raws.ndim != 1 or labs.shape != raws.shape:
         raise DataError(
             f"response arrays must be matching 1-d, got {raws.shape}/{labs.shape}"
         )
     digest = content_hash.encode("ascii")
-    body = (
+    return _frame(
         _RESPONSE_HEAD.pack(KIND_RESPONSE, 0, int(status), len(digest), raws.size)
         + digest
         + raws.astype("<i8", copy=False).tobytes()
         + labs.tobytes()
-        + _TRAILER.pack(
-            int(product_overflow_events), int(accumulator_overflow_events)
-        )
+        + _TRAILER.pack(int(product_overflow_events), int(accumulator_overflow_events))
     )
-    return _frame(body)
 
 
 def encode_error(status: int, message: str, shed: bool = False) -> bytes:
-    """Encode an error frame; ``shed=True`` marks load-shedding 503s."""
-    msg = message.encode("utf-8")[:1024]
-    body = _ERROR_HEAD.pack(KIND_ERROR, 1 if shed else 0, int(status), len(msg)) + msg
-    return _frame(body)
+    """Encode an error frame; ``shed=True`` marks load-shedding 503s.
+
+    The UTF-8 message is cut to 1024 bytes on a character boundary, with
+    unencodable characters (lone surrogates) replaced, so every error
+    frame decodes.
+    """
+    msg = (
+        message.encode("utf-8", "replace")[:_MAX_ERROR_BYTES]
+        .decode("utf-8", "ignore")
+        .encode("utf-8")
+    )
+    return _frame(
+        _ERROR_HEAD.pack(KIND_ERROR, 1 if shed else 0, int(status), len(msg)) + msg
+    )
 
 
 def encode_stream_open(key: str, config: dict) -> bytes:
     """Encode a stream-open frame for session ``key`` with a config object."""
     if not isinstance(config, dict):
         raise DataError(f"stream config must be a JSON object, got {type(config)}")
-    encoded_key = _session_key_bytes(key)
+    encoded_key = _session_key(key)
     payload = json.dumps(config, sort_keys=True).encode("utf-8")
-    if len(payload) > MAX_CONFIG_BYTES:
-        raise DataError(
-            f"stream config is {len(payload)} bytes; limit is {MAX_CONFIG_BYTES}"
-        )
-    head = _STREAM_OPEN_HEAD.pack(
-        KIND_STREAM_OPEN, 0, len(encoded_key), len(payload)
-    )
+    _at_most(len(payload), MAX_CONFIG_BYTES, "stream config length")
+    head = _STREAM_OPEN_HEAD.pack(KIND_STREAM_OPEN, 0, len(encoded_key), len(payload))
     return _frame(head + encoded_key + payload)
 
 
 def encode_stream_opened(key: str, content_hash: str, status: int = 200) -> bytes:
     """Encode the server's open acknowledgement with the pinned model hash."""
-    encoded_key = _session_key_bytes(key)
+    encoded_key = _session_key(key)
     digest = content_hash.encode("ascii")
     head = _STREAM_OPENED_HEAD.pack(
         KIND_STREAM_OPENED, 0, int(status), len(encoded_key), len(digest)
@@ -463,23 +520,16 @@ def encode_stream_opened(key: str, content_hash: str, status: int = 200) -> byte
 
 def encode_stream_chunk(key: str, seq: int, samples: np.ndarray) -> bytes:
     """Encode one waveform chunk (1-D float64) for session ``key``."""
-    encoded_key = _session_key_bytes(key)
-    arr = np.ascontiguousarray(np.asarray(samples, dtype=np.float64))
+    encoded_key = _session_key(key)
+    arr = _array(samples, np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DataError(
             f"stream chunk needs a non-empty 1-D sample vector, got shape {arr.shape}"
         )
-    if arr.size > MAX_SAMPLES_PER_FRAME:
-        raise DataError(
-            f"stream chunk carries {arr.size} samples; "
-            f"limit is {MAX_SAMPLES_PER_FRAME}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DataError("stream chunk samples contain NaN or infinity")
-    if seq < 0 or seq > 0xFFFFFFFF:
-        raise DataError(f"chunk seq {seq} outside [0, 2**32)")
+    _at_most(arr.size, MAX_SAMPLES_PER_FRAME, "stream chunk sample count")
+    _finite(arr, "stream chunk samples")
     head = _STREAM_CHUNK_HEAD.pack(
-        KIND_STREAM_CHUNK, 0, len(encoded_key), int(seq), arr.size
+        KIND_STREAM_CHUNK, 0, len(encoded_key), _uint32(seq, "chunk seq"), arr.size
     )
     return _frame(head + encoded_key + arr.astype("<f8", copy=False).tobytes())
 
@@ -494,42 +544,34 @@ def encode_stream_result(
     status: int = 200,
 ) -> bytes:
     """Encode the classifications of the windows one chunk completed."""
-    indices = np.ascontiguousarray(np.asarray(window_indices, dtype=np.uint32))
-    raws = np.ascontiguousarray(np.asarray(projection_raws, dtype=np.int64))
-    labs = np.ascontiguousarray(np.asarray(labels, dtype=np.uint8))
+    indices = _array(window_indices, np.uint32)
+    raws = _array(projection_raws, np.int64)
+    labs = _array(labels, np.uint8)
     if indices.ndim != 1 or raws.shape != indices.shape or labs.shape != indices.shape:
         raise DataError(
             f"stream result arrays must be matching 1-d, got "
             f"{indices.shape}/{raws.shape}/{labs.shape}"
         )
-    head = _STREAM_RESULT_HEAD.pack(
-        KIND_STREAM_RESULT, 0, int(status), int(seq), indices.size
-    )
-    body = (
-        head
+    return _frame(
+        _STREAM_RESULT_HEAD.pack(KIND_STREAM_RESULT, 0, int(status), int(seq), indices.size)
         + indices.astype("<u4", copy=False).tobytes()
         + raws.astype("<i8", copy=False).tobytes()
         + labs.tobytes()
-        + _TRAILER.pack(
-            int(product_overflow_events), int(accumulator_overflow_events)
-        )
+        + _TRAILER.pack(int(product_overflow_events), int(accumulator_overflow_events))
     )
-    return _frame(body)
 
 
 def encode_stream_close(key: str) -> bytes:
     """Encode a close request for session ``key``."""
-    encoded_key = _session_key_bytes(key)
-    return _frame(
-        _STREAM_CLOSE_HEAD.pack(KIND_STREAM_CLOSE, 0, len(encoded_key)) + encoded_key
-    )
+    encoded_key = _session_key(key)
+    return _frame(_STREAM_CLOSE_HEAD.pack(KIND_STREAM_CLOSE, 0, len(encoded_key)) + encoded_key)
 
 
 def encode_stream_closed(
     key: str, chunks: int, samples: int, windows: int, status: int = 200
 ) -> bytes:
     """Encode the close acknowledgement with the session's lifetime totals."""
-    encoded_key = _session_key_bytes(key)
+    encoded_key = _session_key(key)
     head = _STREAM_CLOSED_HEAD.pack(
         KIND_STREAM_CLOSED,
         0,
@@ -545,165 +587,59 @@ def encode_stream_closed(
 # --------------------------------------------------------------------- #
 # Decoding
 # --------------------------------------------------------------------- #
-def _need(body: bytes, count: int, what: str) -> None:
-    if len(body) < count:
-        raise DataError(
-            f"truncated wire frame: {what} needs {count} bytes, body has {len(body)}"
-        )
-
-
-def decode_body(body: bytes) -> "WireRequest | WireResponse | WireError":
-    """Decode one frame body (everything after magic + length prefix).
-
-    Raises :class:`~repro.errors.DataError` on any malformation; never
-    returns partially-decoded data.
-    """
-    if len(body) > MAX_BODY_BYTES:
-        raise DataError(
-            f"wire frame body is {len(body)} bytes; limit is {MAX_BODY_BYTES}"
-        )
-    _need(body, 1, "kind byte")
-    kind = body[0]
-    if kind == KIND_REQUEST:
-        return _decode_request(body)
-    if kind == KIND_RESPONSE:
-        return _decode_response(body)
-    if kind == KIND_ERROR:
-        return _decode_error(body)
-    if kind == KIND_STREAM_OPEN:
-        return _decode_stream_open(body)
-    if kind == KIND_STREAM_OPENED:
-        return _decode_stream_opened(body)
-    if kind == KIND_STREAM_CHUNK:
-        return _decode_stream_chunk(body)
-    if kind == KIND_STREAM_RESULT:
-        return _decode_stream_result(body)
-    if kind == KIND_STREAM_CLOSE:
-        return _decode_stream_close(body)
-    if kind == KIND_STREAM_CLOSED:
-        return _decode_stream_closed(body)
-    raise DataError(f"unknown wire frame kind {kind}")
-
-
 def _decode_request(body: bytes) -> WireRequest:
-    _need(body, _REQUEST_HEAD.size, "request header")
-    kind, dtype, reserved, deadline_ms, key_len, n, m = _REQUEST_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"request reserved field must be 0, got {reserved}")
+    _kind, dtype, reserved, deadline_ms, key_len, n, m = _head(_REQUEST_HEAD, body, "request")
     if dtype not in (DTYPE_FLOAT64, DTYPE_RAW_INT64):
         raise DataError(f"unknown request payload dtype {dtype}")
-    if key_len > MAX_MODEL_KEY_BYTES:
-        raise DataError(
-            f"model key is {key_len} bytes; limit is {MAX_MODEL_KEY_BYTES}"
-        )
+    _at_most(key_len, MAX_MODEL_KEY_BYTES, "model key length")
     if n < 1 or m < 1:
         raise DataError(f"request declares an empty batch ({n} x {m})")
-    if n > MAX_SAMPLES_PER_FRAME:
-        raise DataError(
-            f"request carries {n} samples; limit is {MAX_SAMPLES_PER_FRAME}"
-        )
-    expected = _REQUEST_HEAD.size + key_len + 8 * n * m
-    if len(body) != expected:
-        raise DataError(
-            f"ragged request frame: {n} x {m} samples with a {key_len}-byte key "
-            f"needs a {expected}-byte body, got {len(body)}"
-        )
+    _at_most(n, MAX_SAMPLES_PER_FRAME, "request sample count")
     key_end = _REQUEST_HEAD.size + key_len
-    try:
-        model = body[_REQUEST_HEAD.size:key_end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"model key is not valid UTF-8: {exc}") from exc
+    _sized(body, reserved, key_end + 8 * n * m, "request")
+    model = _text(body, _REQUEST_HEAD.size, key_len, "model key")
     raw = dtype == DTYPE_RAW_INT64
     features = np.frombuffer(
         body, dtype="<i8" if raw else "<f8", count=n * m, offset=key_end
     ).reshape(n, m)
-    if not raw and not np.all(np.isfinite(features)):
-        raise DataError("request features contain NaN or infinity")
+    if not raw:
+        _finite(features, "request features")
     return WireRequest(
-        features=features,
-        raw=raw,
-        model=model or None,
-        deadline_ms=int(deadline_ms),
+        features=features, raw=raw, model=model or None, deadline_ms=int(deadline_ms)
     )
 
 
 def _decode_response(body: bytes) -> WireResponse:
-    _need(body, _RESPONSE_HEAD.size, "response header")
-    _kind, reserved, status, hash_len, n = _RESPONSE_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"response reserved field must be 0, got {reserved}")
-    expected = _RESPONSE_HEAD.size + hash_len + 9 * n + _TRAILER.size
-    if len(body) != expected:
-        raise DataError(
-            f"ragged response frame: {n} samples with a {hash_len}-byte hash "
-            f"needs a {expected}-byte body, got {len(body)}"
-        )
+    _kind, reserved, status, hash_len, n = _head(_RESPONSE_HEAD, body, "response")
     hash_end = _RESPONSE_HEAD.size + hash_len
-    try:
-        digest = body[_RESPONSE_HEAD.size:hash_end].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"content hash is not ASCII: {exc}") from exc
-    raws = np.frombuffer(body, dtype="<i8", count=n, offset=hash_end)
-    labels = np.frombuffer(body, dtype=np.uint8, count=n, offset=hash_end + 8 * n)
+    _sized(body, reserved, hash_end + 9 * n + _TRAILER.size, "response")
     product, accumulator = _TRAILER.unpack_from(body, hash_end + 9 * n)
     return WireResponse(
         status=int(status),
-        content_hash=digest,
-        projection_raws=raws,
-        labels=labels,
+        content_hash=_text(body, _RESPONSE_HEAD.size, hash_len, "content hash", "ascii"),
+        projection_raws=np.frombuffer(body, dtype="<i8", count=n, offset=hash_end),
+        labels=np.frombuffer(body, dtype=np.uint8, count=n, offset=hash_end + 8 * n),
         product_overflow_events=int(product),
         accumulator_overflow_events=int(accumulator),
     )
 
 
 def _decode_error(body: bytes) -> WireError:
-    _need(body, _ERROR_HEAD.size, "error header")
-    _kind, shed, status, msg_len = _ERROR_HEAD.unpack_from(body)
-    expected = _ERROR_HEAD.size + msg_len
-    if len(body) != expected:
-        raise DataError(
-            f"ragged error frame: needs a {expected}-byte body, got {len(body)}"
-        )
-    try:
-        message = body[_ERROR_HEAD.size:expected].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"error message is not valid UTF-8: {exc}") from exc
+    _kind, shed, status, msg_len = _head(_ERROR_HEAD, body, "error")
+    _sized(body, 0, _ERROR_HEAD.size + msg_len, "error")  # byte 1 is the shed flag
+    message = _text(body, _ERROR_HEAD.size, msg_len, "error message")
     return WireError(status=int(status), message=message, shed=bool(shed))
 
 
-def _decode_key(body: bytes, offset: int, key_len: int, what: str) -> str:
-    if key_len < 1:
-        raise DataError(f"{what} carries an empty session key")
-    if key_len > MAX_SESSION_KEY_BYTES:
-        raise DataError(
-            f"session key is {key_len} bytes; limit is {MAX_SESSION_KEY_BYTES}"
-        )
-    try:
-        return body[offset:offset + key_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"session key is not valid UTF-8: {exc}") from exc
-
-
 def _decode_stream_open(body: bytes) -> StreamOpen:
-    _need(body, _STREAM_OPEN_HEAD.size, "stream-open header")
-    _kind, reserved, key_len, config_len = _STREAM_OPEN_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"stream-open reserved field must be 0, got {reserved}")
-    if config_len > MAX_CONFIG_BYTES:
-        raise DataError(
-            f"stream config is {config_len} bytes; limit is {MAX_CONFIG_BYTES}"
-        )
-    expected = _STREAM_OPEN_HEAD.size + key_len + config_len
-    if len(body) != expected:
-        raise DataError(
-            f"ragged stream-open frame: needs a {expected}-byte body, "
-            f"got {len(body)}"
-        )
-    key = _decode_key(body, _STREAM_OPEN_HEAD.size, key_len, "stream-open")
+    _kind, reserved, key_len, config_len = _head(_STREAM_OPEN_HEAD, body, "stream-open")
+    _at_most(config_len, MAX_CONFIG_BYTES, "stream config length")
     config_start = _STREAM_OPEN_HEAD.size + key_len
+    _sized(body, reserved, config_start + config_len, "stream-open")
+    key = _key(body, _STREAM_OPEN_HEAD.size, key_len)
     try:
-        config = json.loads(body[config_start:expected].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+        config = json.loads(_text(body, config_start, config_len, "stream config"))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"stream config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise DataError(
@@ -713,117 +649,113 @@ def _decode_stream_open(body: bytes) -> StreamOpen:
 
 
 def _decode_stream_opened(body: bytes) -> StreamOpened:
-    _need(body, _STREAM_OPENED_HEAD.size, "stream-opened header")
-    _kind, reserved, status, key_len, hash_len = _STREAM_OPENED_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"stream-opened reserved field must be 0, got {reserved}")
-    expected = _STREAM_OPENED_HEAD.size + key_len + hash_len
-    if len(body) != expected:
-        raise DataError(
-            f"ragged stream-opened frame: needs a {expected}-byte body, "
-            f"got {len(body)}"
-        )
-    key = _decode_key(body, _STREAM_OPENED_HEAD.size, key_len, "stream-opened")
+    _kind, reserved, status, key_len, hash_len = _head(
+        _STREAM_OPENED_HEAD, body, "stream-opened"
+    )
     hash_start = _STREAM_OPENED_HEAD.size + key_len
-    try:
-        digest = body[hash_start:expected].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"content hash is not ASCII: {exc}") from exc
-    return StreamOpened(status=int(status), key=key, content_hash=digest)
+    _sized(body, reserved, hash_start + hash_len, "stream-opened")
+    return StreamOpened(
+        status=int(status),
+        key=_key(body, _STREAM_OPENED_HEAD.size, key_len),
+        content_hash=_text(body, hash_start, hash_len, "content hash", "ascii"),
+    )
 
 
 def _decode_stream_chunk(body: bytes) -> StreamChunk:
-    _need(body, _STREAM_CHUNK_HEAD.size, "stream-chunk header")
-    _kind, reserved, key_len, seq, n = _STREAM_CHUNK_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"stream-chunk reserved field must be 0, got {reserved}")
+    _kind, reserved, key_len, seq, n = _head(_STREAM_CHUNK_HEAD, body, "stream-chunk")
     if n < 1:
         raise DataError("stream chunk declares zero samples")
-    if n > MAX_SAMPLES_PER_FRAME:
-        raise DataError(
-            f"stream chunk carries {n} samples; limit is {MAX_SAMPLES_PER_FRAME}"
-        )
-    expected = _STREAM_CHUNK_HEAD.size + key_len + 8 * n
-    if len(body) != expected:
-        raise DataError(
-            f"ragged stream-chunk frame: {n} samples with a {key_len}-byte key "
-            f"needs a {expected}-byte body, got {len(body)}"
-        )
-    key = _decode_key(body, _STREAM_CHUNK_HEAD.size, key_len, "stream-chunk")
-    samples = np.frombuffer(
-        body, dtype="<f8", count=n, offset=_STREAM_CHUNK_HEAD.size + key_len
-    )
-    if not np.all(np.isfinite(samples)):
-        raise DataError("stream chunk samples contain NaN or infinity")
+    _at_most(n, MAX_SAMPLES_PER_FRAME, "stream chunk sample count")
+    samples_start = _STREAM_CHUNK_HEAD.size + key_len
+    _sized(body, reserved, samples_start + 8 * n, "stream-chunk")
+    key = _key(body, _STREAM_CHUNK_HEAD.size, key_len)
+    samples = np.frombuffer(body, dtype="<f8", count=n, offset=samples_start)
+    _finite(samples, "stream chunk samples")
     return StreamChunk(key=key, seq=int(seq), samples=samples)
 
 
 def _decode_stream_result(body: bytes) -> StreamResult:
-    _need(body, _STREAM_RESULT_HEAD.size, "stream-result header")
-    _kind, reserved, status, seq, n = _STREAM_RESULT_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"stream-result reserved field must be 0, got {reserved}")
-    expected = _STREAM_RESULT_HEAD.size + 13 * n + _TRAILER.size
-    if len(body) != expected:
-        raise DataError(
-            f"ragged stream-result frame: {n} windows needs a "
-            f"{expected}-byte body, got {len(body)}"
-        )
+    _kind, reserved, status, seq, n = _head(_STREAM_RESULT_HEAD, body, "stream-result")
     offset = _STREAM_RESULT_HEAD.size
-    indices = np.frombuffer(body, dtype="<u4", count=n, offset=offset)
-    raws = np.frombuffer(body, dtype="<i8", count=n, offset=offset + 4 * n)
-    labels = np.frombuffer(body, dtype=np.uint8, count=n, offset=offset + 12 * n)
+    _sized(body, reserved, offset + 13 * n + _TRAILER.size, "stream-result")
     product, accumulator = _TRAILER.unpack_from(body, offset + 13 * n)
     return StreamResult(
         status=int(status),
         seq=int(seq),
-        window_indices=indices,
-        projection_raws=raws,
-        labels=labels,
+        window_indices=np.frombuffer(body, dtype="<u4", count=n, offset=offset),
+        projection_raws=np.frombuffer(body, dtype="<i8", count=n, offset=offset + 4 * n),
+        labels=np.frombuffer(body, dtype=np.uint8, count=n, offset=offset + 12 * n),
         product_overflow_events=int(product),
         accumulator_overflow_events=int(accumulator),
     )
 
 
 def _decode_stream_close(body: bytes) -> StreamClose:
-    _need(body, _STREAM_CLOSE_HEAD.size, "stream-close header")
-    _kind, reserved, key_len = _STREAM_CLOSE_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"stream-close reserved field must be 0, got {reserved}")
-    expected = _STREAM_CLOSE_HEAD.size + key_len
-    if len(body) != expected:
-        raise DataError(
-            f"ragged stream-close frame: needs a {expected}-byte body, "
-            f"got {len(body)}"
-        )
-    return StreamClose(key=_decode_key(body, _STREAM_CLOSE_HEAD.size, key_len,
-                                       "stream-close"))
+    _kind, reserved, key_len = _head(_STREAM_CLOSE_HEAD, body, "stream-close")
+    _sized(body, reserved, _STREAM_CLOSE_HEAD.size + key_len, "stream-close")
+    return StreamClose(key=_key(body, _STREAM_CLOSE_HEAD.size, key_len))
 
 
 def _decode_stream_closed(body: bytes) -> StreamClosed:
-    _need(body, _STREAM_CLOSED_HEAD.size, "stream-closed header")
-    (
-        _kind, reserved, status, key_len, chunks, samples, windows,
-    ) = _STREAM_CLOSED_HEAD.unpack_from(body)
-    if reserved != 0:
-        raise DataError(f"stream-closed reserved field must be 0, got {reserved}")
-    expected = _STREAM_CLOSED_HEAD.size + key_len
-    if len(body) != expected:
-        raise DataError(
-            f"ragged stream-closed frame: needs a {expected}-byte body, "
-            f"got {len(body)}"
-        )
-    key = _decode_key(body, _STREAM_CLOSED_HEAD.size, key_len, "stream-closed")
+    _kind, reserved, status, key_len, chunks, samples, windows = _head(
+        _STREAM_CLOSED_HEAD, body, "stream-closed"
+    )
+    _sized(body, reserved, _STREAM_CLOSED_HEAD.size + key_len, "stream-closed")
     return StreamClosed(
         status=int(status),
-        key=key,
+        key=_key(body, _STREAM_CLOSED_HEAD.size, key_len),
         chunks=int(chunks),
         samples=int(samples),
         windows=int(windows),
     )
 
 
-def decode_frame(data: bytes) -> Tuple["WireRequest | WireResponse | WireError", int]:
+# Indexed by ``kind - 1``: a tuple, because RPC005 rejects module-level
+# dicts in serving modules.
+_DECODERS: "Tuple[Callable[[bytes], _Frame], ...]" = (
+    _decode_request,
+    _decode_response,
+    _decode_error,
+    _decode_stream_open,
+    _decode_stream_opened,
+    _decode_stream_chunk,
+    _decode_stream_result,
+    _decode_stream_close,
+    _decode_stream_closed,
+)
+
+
+def read_header(header: bytes) -> int:
+    """Check one 8-byte frame header; returns its declared body length.
+
+    The single frame-boundary check: :func:`decode_frame`,
+    :func:`split_frames`, :class:`WireClient` and the server's connection
+    loop all read headers here, so bad magic and the
+    :data:`MAX_BODY_BYTES` cap are rejected the same way everywhere —
+    before any body byte is read.
+    """
+    _need(header, _HEADER.size, "frame header")
+    magic, body_len = _HEADER.unpack_from(header)
+    if magic != WIRE_MAGIC:
+        raise DataError(f"not a {WIRE_SCHEMA} frame (magic {magic!r} != {WIRE_MAGIC!r})")
+    _at_most(body_len, MAX_BODY_BYTES, "frame body length")
+    return body_len
+
+
+def decode_body(body: bytes) -> _Frame:
+    """Decode one frame body (everything after magic + length prefix).
+
+    Raises :class:`~repro.errors.DataError` on any malformation; never
+    returns partially-decoded data.
+    """
+    _at_most(len(body), MAX_BODY_BYTES, "frame body length")
+    _need(body, 1, "kind byte")
+    if not 1 <= body[0] <= len(_DECODERS):
+        raise DataError(f"unknown wire frame kind {body[0]}")
+    return _DECODERS[body[0] - 1](body)
+
+
+def decode_frame(data: bytes) -> Tuple[_Frame, int]:
     """Decode the first complete frame in ``data``.
 
     Returns ``(decoded, consumed_bytes)``.  Raises
@@ -832,18 +764,28 @@ def decode_frame(data: bytes) -> Tuple["WireRequest | WireResponse | WireError",
     should buffer until the declared length is available (see
     :func:`split_frames`).
     """
-    _need(data, 8, "frame header")
-    if data[:4] != WIRE_MAGIC:
-        raise DataError(
-            f"not a {WIRE_SCHEMA} frame (magic {data[:4]!r} != {WIRE_MAGIC!r})"
-        )
-    (body_len,) = struct.unpack_from("<I", data, 4)
-    if body_len > MAX_BODY_BYTES:
-        raise DataError(
-            f"wire frame declares {body_len} body bytes; limit is {MAX_BODY_BYTES}"
-        )
-    _need(data, 8 + body_len, "frame body")
-    return decode_body(data[8:8 + body_len]), 8 + body_len
+    end = _HEADER.size + read_header(data)
+    _need(data, end, "frame body")
+    return decode_body(data[_HEADER.size:end]), end
+
+
+def split_frames(data: bytes) -> Tuple[list, bytes]:
+    """Decode every complete frame in ``data``; returns ``(frames, rest)``.
+
+    ``rest`` is the trailing bytes of an incomplete frame (empty when the
+    buffer ended exactly on a frame boundary).  A malformed complete frame
+    still raises :class:`~repro.errors.DataError`.
+    """
+    frames = []
+    offset = 0
+    while len(data) - offset >= _HEADER.size:
+        start = offset + _HEADER.size
+        end = start + read_header(data[offset:start])
+        if end > len(data):
+            break
+        frames.append(decode_body(data[start:end]))
+        offset = end
+    return frames, data[offset:]
 
 
 class WireClient:
@@ -852,7 +794,8 @@ class WireClient:
     Used by the tests, the conformance oracles, the saturation benchmark,
     and the CI smoke script — anything that wants to speak the binary
     protocol without hand-rolling socket code.  One client = one
-    connection = frames answered in order.
+    connection = frames answered in order; each call reads exactly one
+    answer frame and keeps any bytes after it for the next call.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
@@ -872,21 +815,22 @@ class WireClient:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _read_frame(self):
-        while True:
-            frames, self._buffer = split_frames(self._buffer)
-            if frames:
-                decoded = frames[0]
-                if isinstance(decoded, (WireRequest, StreamOpen, StreamChunk,
-                                        StreamClose)):
-                    raise DataError(
-                        "server sent a client-to-server frame to a client"
-                    )
-                return decoded
+    def _take(self, count: int) -> bytes:
+        while len(self._buffer) < count:
             chunk = self._sock.recv(65536)
             if not chunk:
                 raise ServeError("connection closed before a full response frame")
             self._buffer += chunk
+        data, self._buffer = self._buffer[:count], self._buffer[count:]
+        return data
+
+    def _read_frame(self):
+        # The body is taken off the buffer before it is decoded, so a
+        # malformed frame raises once and the next call reads the next one.
+        decoded = decode_body(self._take(read_header(self._take(_HEADER.size))))
+        if isinstance(decoded, (WireRequest, StreamOpen, StreamChunk, StreamClose)):
+            raise DataError("server sent a client-to-server frame to a client")
+        return decoded
 
     def request(
         self,
@@ -938,32 +882,3 @@ class WireClient:
         """Close the session; returns its lifetime totals."""
         self._sock.sendall(encode_stream_close(key))
         return self._read_frame()
-
-
-def split_frames(data: bytes) -> Tuple[list, bytes]:
-    """Decode every complete frame in ``data``; returns ``(frames, rest)``.
-
-    ``rest`` is the trailing bytes of an incomplete frame (empty when the
-    buffer ended exactly on a frame boundary).  A malformed complete frame
-    still raises :class:`~repro.errors.DataError`.
-    """
-    frames = []
-    offset = 0
-    view = memoryview(data)
-    while len(data) - offset >= 8:
-        chunk = bytes(view[offset:offset + 8])
-        if chunk[:4] != WIRE_MAGIC:
-            raise DataError(
-                f"not a {WIRE_SCHEMA} frame (magic {chunk[:4]!r} != {WIRE_MAGIC!r})"
-            )
-        (body_len,) = struct.unpack_from("<I", chunk, 4)
-        if body_len > MAX_BODY_BYTES:
-            raise DataError(
-                f"wire frame declares {body_len} body bytes; "
-                f"limit is {MAX_BODY_BYTES}"
-            )
-        if len(data) - offset - 8 < body_len:
-            break
-        frames.append(decode_body(bytes(view[offset + 8:offset + 8 + body_len])))
-        offset += 8 + body_len
-    return frames, data[offset:]

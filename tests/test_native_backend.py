@@ -356,7 +356,7 @@ class TestNativeKernel:
 # --------------------------------------------------------------------- #
 class TestEngineBackendSelection:
     def test_backend_registry_constant(self):
-        assert ENGINE_BACKENDS == ("auto", "fast", "object", "native")
+        assert ENGINE_BACKENDS == ("auto", "object", "native")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(InputValidationError, match="unknown backend"):

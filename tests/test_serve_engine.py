@@ -26,8 +26,12 @@ from repro.fixedpoint.rounding import RoundingMode
 from repro.serve.engine import BatchInferenceEngine, BatchResult, int64_path_available
 
 
-def _assert_engine_matches_datapath(classifier, features, force_object):
-    engine = BatchInferenceEngine(classifier, force_object=force_object)
+def _engine(classifier, object_path):
+    return BatchInferenceEngine(classifier, backend="object" if object_path else "auto")
+
+
+def _assert_engine_matches_datapath(classifier, features, object_path):
+    engine = _engine(classifier, object_path)
     result = engine.run(features)
     datapath = classifier.datapath()
     for i, sample in enumerate(np.atleast_2d(features)):
@@ -50,7 +54,7 @@ class TestDifferentialRandomized:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_traced_datapath(self, k, f, m, mode, polarity, force_object, seed):
+    def test_matches_traced_datapath(self, k, f, m, mode, polarity, object_path, seed):
         """Projection raws, labels, and overflow flags agree bit for bit."""
         rng = np.random.default_rng(seed)
         classifier = _random_classifier(rng, k, f, m, mode, polarity)
@@ -58,32 +62,32 @@ class TestDifferentialRandomized:
         # Sample beyond the representable range so input saturation and
         # product/accumulator wrap paths are all exercised.
         features = rng.uniform(3 * fmt.min_value, 3 * fmt.max_value, size=(13, m))
-        _assert_engine_matches_datapath(classifier, features, force_object)
+        _assert_engine_matches_datapath(classifier, features, object_path)
 
-    @pytest.mark.parametrize("force_object", [False, True])
-    def test_forced_wrap_case(self, force_object):
+    @pytest.mark.parametrize("object_path", [False, True])
+    def test_forced_wrap_case(self, object_path):
         """The paper's 3 + 3 - 4 wrap example survives vectorization."""
         fmt = QFormat(3, 0)
         classifier = FixedPointLinearClassifier(
             weights=np.array([1.0, 1.0, 1.0]), threshold=0.0, fmt=fmt
         )
-        engine = BatchInferenceEngine(classifier, force_object=force_object)
+        engine = _engine(classifier, object_path)
         result = engine.run(np.array([[3.0, 3.0, -4.0]]))
         assert bool(result.accumulator_overflowed[0, 1])  # 3 + 3 wraps...
         assert int(result.projection_raws[0]) == 2  # ...yet the result is exact
         _assert_engine_matches_datapath(
-            classifier, np.array([[3.0, 3.0, -4.0]]), force_object
+            classifier, np.array([[3.0, 3.0, -4.0]]), object_path
         )
 
-    @pytest.mark.parametrize("force_object", [False, True])
-    def test_forced_product_wrap(self, force_object):
+    @pytest.mark.parametrize("object_path", [False, True])
+    def test_forced_product_wrap(self, object_path):
         """Large weight x feature products overflow QK.F and must wrap alike."""
         fmt = QFormat(3, 1)
         classifier = FixedPointLinearClassifier(
             weights=np.array([3.5, -3.5]), threshold=0.0, fmt=fmt
         )
         features = np.array([[3.5, 3.5], [-4.0, 3.5], [3.5, -4.0]])
-        result = _assert_engine_matches_datapath(classifier, features, force_object)
+        result = _assert_engine_matches_datapath(classifier, features, object_path)
         assert result.product_overflow_events > 0
 
     def test_wide_format_selects_object_fallback(self):
@@ -94,14 +98,14 @@ class TestDifferentialRandomized:
         engine = BatchInferenceEngine(classifier)
         assert not engine.fast_path
         features = rng.uniform(-1e5, 1e5, size=(7, 5))
-        _assert_engine_matches_datapath(classifier, features, force_object=False)
+        _assert_engine_matches_datapath(classifier, features, object_path=False)
 
     def test_fast_and_fallback_agree_with_each_other(self):
         rng = np.random.default_rng(11)
         classifier = _random_classifier(rng, 4, 4, 6, RoundingMode.NEAREST_AWAY)
         features = rng.uniform(-40, 40, size=(50, 6))
-        fast = BatchInferenceEngine(classifier, force_object=False).run(features)
-        slow = BatchInferenceEngine(classifier, force_object=True).run(features)
+        fast = BatchInferenceEngine(classifier).run(features)
+        slow = BatchInferenceEngine(classifier, backend="object").run(features)
         assert [int(r) for r in fast.projection_raws] == [
             int(r) for r in slow.projection_raws
         ]
@@ -196,5 +200,5 @@ class TestEngineApi:
     def test_describe_names_the_path(self, classifier):
         assert "int64" in BatchInferenceEngine(classifier).describe()
         assert "object" in BatchInferenceEngine(
-            classifier, force_object=True
+            classifier, backend="object"
         ).describe()

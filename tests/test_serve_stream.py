@@ -410,6 +410,20 @@ class TestHttpStreaming:
             for key in opened:
                 _post(f"{base}/stream/close", {"session": key})
 
+    @pytest.mark.parametrize("path", ["/stream/open", "/stream/chunk", "/stream/close"])
+    def test_undecodable_body_is_counted_400(self, http_server, path):
+        handle, _ = http_server
+        before = handle.server.metrics.errors_total
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{handle.port}{path}", data=b"\xff\xfe{", method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10.0)
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "error" in json.loads(error.read())
+        assert handle.server.metrics.errors_total == before + 1
+
     def test_metrics_v3_counters_advance(self, http_server):
         handle, _ = http_server
         base = f"http://127.0.0.1:{handle.port}"
@@ -477,3 +491,17 @@ class TestWireStreaming:
             reply = client.open_stream("w3", model="nope")
         assert isinstance(reply, WireError)
         assert reply.status == 404
+
+    def test_long_non_ascii_error_decodes_and_connection_survives(self, http_server):
+        """An error message cut at 1024 bytes still decodes: one of the two
+        configs below puts the cut inside a two-byte character."""
+        handle, _ = http_server
+        with WireClient("127.0.0.1", handle.port) as client:
+            for pad in ("", "x"):
+                reply = client.open_stream("w4", config={pad + "\u00e9" * 600: 1}, model="ecg")
+                assert isinstance(reply, WireError)
+                assert reply.status == 400
+                assert "\u00e9" * 100 in reply.message
+                assert len(reply.message.encode("utf-8")) <= 1024
+            assert isinstance(client.open_stream("w4", model="ecg"), StreamOpened)
+            assert isinstance(client.close_stream("w4"), StreamClosed)

@@ -9,6 +9,8 @@ same port that answers HTTP (magic-byte dispatch).
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,13 @@ class TestCodecRoundTrip:
             True,
         )
 
+    def test_error_message_cut_on_a_character_boundary(self):
+        # 1023 ASCII bytes, then a two-byte character across the 1024 cut.
+        decoded, _ = wire.decode_frame(wire.encode_error(400, "a" * 1023 + "\u00e9" * 4))
+        assert decoded.message == "a" * 1023
+        decoded, _ = wire.decode_frame(wire.encode_error(400, "bad key \ud800"))
+        assert decoded.message == "bad key ?"
+
     def test_nan_features_rejected_at_encode(self):
         with pytest.raises(DataError):
             wire.encode_request([0.5, float("nan")])
@@ -138,6 +147,13 @@ class TestMalformedFrames:
         with pytest.raises(DataError):
             wire.decode_frame(frame)
 
+    def test_deeply_nested_stream_config(self):
+        config = b"[" * 40000
+        body = bytes([wire.KIND_STREAM_OPEN, 0, 1, 0]) + len(config).to_bytes(4, "little")
+        body += b"k" + config
+        with pytest.raises(DataError, match="not valid JSON"):
+            wire.decode_frame(wire.WIRE_MAGIC + len(body).to_bytes(4, "little") + body)
+
     @settings(max_examples=60, deadline=None)
     @given(case=cst.wire_frame_mutations())
     def test_mutated_frames_never_crash(self, case):
@@ -163,6 +179,41 @@ class TestSplitFrames:
         frames, rest = wire.split_frames(wire.WIRE_MAGIC[:2])
         assert frames == []
         assert rest == wire.WIRE_MAGIC[:2]
+
+
+class TestWireClientFraming:
+    """The client against a scripted peer that controls the byte stream."""
+
+    @staticmethod
+    def _reads(payload: bytes, count: int) -> list:
+        outcomes = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            with wire.WireClient("127.0.0.1", port, timeout=2.0) as client:
+                peer, _ = listener.accept()
+                with peer:
+                    peer.sendall(payload)
+                    for _ in range(count):
+                        try:
+                            outcomes.append(client.send_bytes(b""))
+                        except DataError as exc:
+                            outcomes.append(exc)
+        return outcomes
+
+    def test_two_frames_in_one_read_are_both_returned(self):
+        first, second = self._reads(
+            wire.encode_stream_closed("a", 1, 2, 3) + wire.encode_stream_closed("b", 4, 5, 6),
+            2,
+        )
+        assert (first.key, second.key) == ("a", "b")
+        assert (second.chunks, second.samples, second.windows) == (4, 5, 6)
+
+    def test_malformed_frame_is_consumed_before_raising(self):
+        bad = wire.WIRE_MAGIC + (3).to_bytes(4, "little") + bytes([200, 0, 0])
+        failed, answer = self._reads(bad + wire.encode_error(409, "next"), 2)
+        assert isinstance(failed, DataError)
+        assert isinstance(answer, wire.WireError)
+        assert (answer.status, answer.message) == (409, "next")
 
 
 class TestWireClientAgainstServer:
