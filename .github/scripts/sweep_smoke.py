@@ -1,16 +1,17 @@
 """CI smoke test for the word-length sweep engine.
 
 Exercises the real ``repro sweep`` CLI on a 3-point synthetic sweep with
-``--sweep-workers 2 --seed-incumbents --sweep-trace``, checks the trace it
-writes, then recomputes the same sweep through the API twice — the serial
-unseeded baseline (``wordlength_sweep``) and the parallel seeded engine
-(``run_sweep``) — and asserts the two ``SweepPoint`` lists are
-byte-identical (canonical JSON view, wall-clock timing excluded).
+``--seed-incumbents --sweep-trace``, checks the trace it writes (every
+point recorded, ``seed_incumbents`` on, no parallel-pool keys), then
+recomputes the same sweep through the API twice — the unseeded baseline
+(``wordlength_sweep``) and the seeded engine (``run_sweep``) — and
+asserts the two ``SweepPoint`` lists are byte-identical (canonical JSON
+view, wall-clock timing excluded).
 
 The chosen word lengths stop via the warm-start early exit, the regime
 docs/wordlength_sweep.md documents as identity-guaranteed: seeds never
-participate in the early-exit test, so seeding and parallel chunking must
-not change a single byte of the result.
+participate in the early-exit test, so seeding must not change a single
+byte of the result.
 
 Usage: PYTHONPATH=src python .github/scripts/sweep_smoke.py
 """
@@ -46,7 +47,7 @@ def main() -> int:
         "--seed", str(SEED),
         "--word-lengths", *[str(wl) for wl in WORD_LENGTHS],
         "--max-nodes", str(MAX_NODES),
-        "--sweep-workers", "2", "--seed-incumbents",
+        "--seed-incumbents",
         "--sweep-trace", str(trace_path),
     ]
     print("running:", " ".join(command))
@@ -59,9 +60,12 @@ def main() -> int:
     trace = SweepTrace.load(trace_path)
     if [r.word_length for r in trace.records] != list(WORD_LENGTHS):
         raise SystemExit(f"trace records wrong word lengths: {trace.records}")
-    if trace.meta.get("workers") != 2 or not trace.meta.get("seed_incumbents"):
+    if trace.meta.get("seed_incumbents") is not True:
         raise SystemExit(f"trace meta does not reflect the flags: {trace.meta}")
-    print(f"trace ok: {len(trace.records)} points, chunks={trace.meta['chunks']}")
+    retired = [key for key in ("workers", "chunks") if key in trace.meta]
+    if retired:
+        raise SystemExit(f"trace meta carries parallel-pool keys {retired}: {trace.meta}")
+    print(f"trace ok: {len(trace.records)} points, meta={trace.meta}")
 
     # Same inputs the CLI used (see cli._run_sweep).
     train = make_synthetic_dataset(SAMPLES, seed=SEED)
@@ -70,25 +74,25 @@ def main() -> int:
         method="lda-fp", ldafp=LdaFpConfig(max_nodes=MAX_NODES)
     )
 
-    serial = wordlength_sweep(train, test, WORD_LENGTHS, pipeline_config=config)
-    engine = run_sweep(
+    unseeded = wordlength_sweep(train, test, WORD_LENGTHS, pipeline_config=config)
+    seeded = run_sweep(
         train, test, WORD_LENGTHS, pipeline_config=config,
-        sweep_config=SweepConfig(workers=2, seed_incumbents=True),
+        sweep_config=SweepConfig(seed_incumbents=True),
     )
-    for point in serial:
+    for point in unseeded:
         if point.stop_reason != "gap":
             raise SystemExit(
                 f"wl={point.word_length} stopped by {point.stop_reason!r}; "
                 "the smoke sweep must stay in the early-exit identity regime"
             )
-    serial_json, engine_json = canonical(serial), canonical(engine)
-    if serial_json != engine_json:
+    unseeded_json, seeded_json = canonical(unseeded), canonical(seeded)
+    if unseeded_json != seeded_json:
         raise SystemExit(
-            "engine sweep diverged from the serial baseline\n"
-            f"serial: {serial_json}\nengine: {engine_json}"
+            "seeded sweep diverged from the unseeded baseline\n"
+            f"unseeded: {unseeded_json}\nseeded:   {seeded_json}"
         )
-    print("sweep smoke passed: parallel seeded engine byte-identical "
-          f"to the serial baseline on {list(WORD_LENGTHS)}")
+    print("sweep smoke passed: seeded engine byte-identical "
+          f"to the unseeded baseline on {list(WORD_LENGTHS)}")
     return 0
 
 

@@ -124,7 +124,7 @@ def test_bench_presolve_node_reduction(pinned_q23, merge_bench):
     ds, fmt = pinned_q23
     runs = {}
     for label, kw in (
-        ("plain", dict(presolve=False, symmetry_cuts=False, branching="problem")),
+        ("plain", dict(presolve=False, symmetry_cuts=False)),
         ("accelerated", dict(presolve=True, symmetry_cuts=True)),
     ):
         start = time.perf_counter()

@@ -133,7 +133,7 @@ def test_sweep_engine_speedup(save_result, paper_budget):
             test,
             word_lengths,
             pipeline_config=config,
-            sweep_config=SweepConfig(workers=1, seed_incumbents=True),
+            sweep_config=SweepConfig(seed_incumbents=True),
         )
 
     naive_results = naive()  # warm-up (page-faults, allocator, BLAS threads)

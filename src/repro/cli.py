@@ -21,7 +21,7 @@ and explores the word-length/power trade-off with the warm-started sweep
 engine (see docs/wordlength_sweep.md)::
 
     python -m repro sweep --word-lengths 4 5 6 7 8 --seed-incumbents
-    python -m repro sweep --dataset ecg --sweep-workers 2 --sweep-trace t.json
+    python -m repro sweep --dataset ecg --sweep-trace t.json
 
 and statically certifies artifacts and lints the source tree
 (see docs/static_checks.md)::
@@ -87,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--time-limit", type=float, default=30.0)
     report.add_argument("--verilog", action="store_true", help="also print Verilog")
     report.add_argument(
-        "--branching",
-        choices=("problem", "pseudocost"),
-        default="problem",
-        help="branching rule: the problem's fixed order, or pseudocost scores",
-    )
-    report.add_argument(
         "--no-presolve",
         action="store_true",
         help="disable node presolve (bound tightening / spectral cone reduction)",
@@ -142,12 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-point wall-clock budget in seconds",
     )
     sweep.add_argument("--max-nodes", type=int, default=20_000)
-    sweep.add_argument(
-        "--sweep-workers",
-        type=int,
-        default=1,
-        help="contiguous word-length chunks solved in parallel processes",
-    )
     sweep.add_argument(
         "--seed-incumbents",
         action="store_true",
@@ -630,7 +618,8 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
             for p in ab.run_propagation_ablation(max_nodes=400, time_limit=10.0):
                 print(
                     f"  propagation={str(p.bound_propagation):5s}: "
-                    f"cost={p.cost:.6f} nodes={p.nodes:4d} {p.seconds:5.1f}s"
+                    f"cost={p.cost:.6f} nodes={p.nodes:4d} {p.seconds:5.1f}s "
+                    f"proven={p.proven}"
                 )
         if which in ("scaling", "all"):
             print("dimension scaling:")
@@ -654,7 +643,6 @@ def main(argv: "Optional[Sequence[str]]" = None) -> int:
                 method="lda-fp",
                 ldafp=LdaFpConfig(
                     time_limit=args.time_limit,
-                    branching=args.branching,
                     presolve=not args.no_presolve,
                     symmetry_cuts=not args.no_symmetry_cuts,
                 ),
@@ -797,7 +785,6 @@ def _run_sweep(args) -> int:
         ldafp=LdaFpConfig(max_nodes=args.max_nodes),
     )
     sweep_config = SweepConfig(
-        workers=args.sweep_workers,
         seed_incumbents=args.seed_incumbents,
         point_time_limit=args.time_limit,
     )

@@ -395,7 +395,7 @@ class PresolveVsPlainOracle(Oracle):
         )
         results = {}
         for label, kw in (
-            ("plain", dict(presolve=False, symmetry_cuts=False, branching="problem")),
+            ("plain", dict(presolve=False, symmetry_cuts=False)),
             ("accelerated", dict(presolve=True, symmetry_cuts=True)),
         ):
             _, report = train_lda_fp(dataset, fmt, LdaFpConfig(**shared, **kw))
@@ -464,7 +464,7 @@ class SweepNaiveOracle(Oracle):
             test,
             word_lengths,
             pipeline_config=config,
-            sweep_config=SweepConfig(workers=1, seed_incumbents=True),
+            sweep_config=SweepConfig(seed_incumbents=True),
         )
         for ref, got in zip(reference, seeded):
             if ref.canonical() != got.canonical():

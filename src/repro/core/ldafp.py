@@ -110,10 +110,6 @@ class LdaFpConfig:
         is invariant under ``w -> -w``); see :mod:`repro.optim.cuts` for
         why the two's-complement asymmetry makes this a proof obligation
         rather than a free halving.
-    branching:
-        ``"problem"`` (the width-relative-to-root rule) or ``"pseudocost"``
-        (per-dimension degradation averages in the driver, falling back to
-        the problem rule until initialized).
     """
 
     rho: float = 0.99
@@ -130,18 +126,14 @@ class LdaFpConfig:
     shrinkage: float = 0.0
     quantization_noise_floor: bool = True
     bound_propagation: bool = True
-    search_strategy: str = "best-first"
     warm_start: bool = True
     rounding: RoundingMode = RoundingMode.NEAREST_AWAY
     presolve: bool = True
     symmetry_cuts: bool = True
-    branching: str = "problem"
 
     def __post_init__(self) -> None:
         if self.backend not in ("barrier", "slsqp", "auto"):
             raise InputValidationError(f"unknown backend {self.backend!r}")
-        if self.branching not in ("problem", "pseudocost"):
-            raise InputValidationError(f"unknown branching {self.branching!r}")
 
 
 @dataclass
@@ -390,56 +382,46 @@ class LdaFpNodeProblem:
         return out
 
     # ------------------------------------------------------------------ #
-    def branch_dimension(self, box: Box, relaxation: Relaxation) -> int:
-        """Fixed branching order: widest dimension relative to the root."""
-        widths = box.widths / self._root_widths
+    def branch(self, box: Box, relaxation: Relaxation) -> Sequence[Box]:
+        # Children get the parent's relaxation solution as warm start via
+        # relax_child_with_incumbent; branching itself is pure.
         m = self.problem.num_features
-        # Do not branch dimensions already at one grid step.
+        if self._cut is not None:
+            # With symmetry cuts active, the first split of a t-straddling
+            # box goes at exactly t = 0: the cut can only ever cover boxes
+            # entirely on the negative side, so separating the sign regions
+            # early is what lets it fire.
+            if box.lo[m] < 0.0 < box.hi[m]:
+                return box.split_at(m, 0.0)
+            # On the negative side, shave the one-LSB two's-complement strip
+            # (the lone grid value below -value_hi, i.e. value_lo) off any
+            # dimension still touching it: the strip slice is a thin pinned
+            # box and the remaining body becomes mirrorable by the
+            # reflection cut.
+            if box.hi[m] <= 0.0:
+                limit = -self.problem.value_hi
+                step = self.problem.fmt.resolution
+                for dim in range(m):
+                    if box.lo[dim] < limit - 1e-12 and box.hi[dim] > limit - 1e-12:
+                        return box.split_at(dim, limit - 0.5 * step)
+                # Cut-guided split: separate the largest mirror-safe slice
+                # so the reflection cut kills it at relaxation time (no cone
+                # solve), leaving a strictly thinner surviving child.  This
+                # turns the bound-driven search of the near-symmetric region
+                # into a short chain of guided splits.
+                guided = self._cut.guided_split(box)
+                if guided is not None:
+                    return box.split_at(guided[0], guided[1])
+        # Fixed order: the widest dimension relative to the root, skipping
+        # dimensions already at one grid step.
+        widths = box.widths / self._root_widths
         for dim in range(m):
             if box.grid_count(dim) <= 1:
                 widths[dim] = -1.0
         dim = int(np.argmax(widths))
         if widths[dim] <= 0.0:
             dim = m  # only t left to split
-        return dim
-
-    def branch_override(self, box: Box, relaxation: Relaxation) -> "Sequence[Box] | None":
-        if self._cut is None:
-            return None
-        m = self.problem.num_features
-        # With symmetry cuts active, the first split of a t-straddling box
-        # goes at exactly t = 0: the cut can only ever cover boxes entirely
-        # on the negative side, so separating the sign regions early is
-        # what lets it fire.
-        if box.lo[m] < 0.0 < box.hi[m]:
-            return box.split_at(m, 0.0)
-        # On the negative side, shave the one-LSB two's-complement strip
-        # (the lone grid value below -value_hi, i.e. value_lo) off any
-        # dimension still touching it: the strip slice is a thin pinned box
-        # and the remaining body becomes mirrorable by the reflection cut.
-        if box.hi[m] <= 0.0:
-            limit = -self.problem.value_hi
-            step = self.problem.fmt.resolution
-            for dim in range(m):
-                if box.lo[dim] < limit - 1e-12 and box.hi[dim] > limit - 1e-12:
-                    return box.split_at(dim, limit - 0.5 * step)
-            # Cut-guided split: separate the largest mirror-safe slice so
-            # the reflection cut kills it at relaxation time (no cone
-            # solve), leaving a strictly thinner surviving child.  This
-            # turns the bound-driven search of the near-symmetric region
-            # into a short chain of guided splits.
-            guided = self._cut.guided_split(box)
-            if guided is not None:
-                return box.split_at(guided[0], guided[1])
-        return None
-
-    def branch(self, box: Box, relaxation: Relaxation) -> Sequence[Box]:
-        # Children get the parent's relaxation solution as warm start via
-        # relax_child_with_incumbent; branching itself is pure.
-        forced = self.branch_override(box, relaxation)
-        if forced is not None:
-            return list(forced)
-        return list(box.split(self.branch_dimension(box, relaxation)))
+        return box.split(dim)
 
     # ------------------------------------------------------------------ #
     def is_terminal(self, box: Box) -> bool:
@@ -706,8 +688,6 @@ def train_lda_fp(
                 time_limit=config.time_limit,
                 absolute_gap=config.absolute_gap,
                 relative_gap=config.relative_gap,
-                strategy=config.search_strategy,
-                branching=config.branching,
             )
         )
         result = solver.solve(

@@ -254,14 +254,21 @@ def run_propagation_ablation(
     integer_bits: int = 2,
     margin: float = 0.45,
     max_nodes: int = 3000,
-    time_limit: float = 30.0,
+    time_limit: "float | None" = None,
 ) -> List[PropagationAblationPoint]:
-    """Domain propagation on/off: node count to prove the same optimum."""
+    """Domain propagation on/off: node count to prove the same optimum.
+
+    Both arms run without node presolve: presolve subsumes the ``t``-link
+    propagation, and ``bound_propagation`` is only read on the
+    ``presolve=False`` path, so with presolve on the two arms would be the
+    same search.
+    """
     fmt, train, _ = _scaled_pair(word_length, integer_bits, margin)
     points: List[PropagationAblationPoint] = []
     for enabled in (True, False):
         config = LdaFpConfig(
             bound_propagation=enabled,
+            presolve=False,
             max_nodes=max_nodes,
             time_limit=time_limit,
             relative_gap=1e-6,

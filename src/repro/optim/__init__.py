@@ -8,7 +8,6 @@ from .bnb import (
     BranchAndBoundSolver,
     BranchAndBoundStats,
     Candidate,
-    PseudocostTable,
     Relaxation,
 )
 from .boxes import Box
@@ -30,7 +29,6 @@ __all__ = [
     "BranchAndBoundSolver",
     "BranchAndBoundStats",
     "Candidate",
-    "PseudocostTable",
     "Relaxation",
     "Box",
     "Presolver",

@@ -10,23 +10,15 @@ target is met, or a node/time budget runs out — in which case the incumbent
 is returned with ``proven_optimal=False`` and
 ``BranchAndBoundStats.stop_reason`` records why.
 
-The frontier is expanded serially, one node at a time, as in the paper.
-Without a time budget the node sequence is a pure function of the problem
-and the config: heap ties on equal bounds break on a monotone sequence
-counter assigned at push time, and every incumbent-dependent decision made
-*inside* a relaxation is driven by the incumbent snapshot recorded when the
-node was pushed (threaded through ``relax_child_with_incumbent``), not by
-the incumbent at expansion time.  The snapshot is part of the search's
-definition: recorded node counts depend on it.
-
-Branching: the default (``branching="problem"``) delegates to
-``problem.branch``.  ``branching="pseudocost"`` keeps per-dimension
-degradation averages (how much each child's bound rose per quantum of
-width, separately for the down/up child) and branches on the dimension
-with the best product score, falling back to the problem's fixed order
-(``branch_dimension`` hook, else widest-in-quanta) until both sides of
-every candidate dimension have been observed.  The branching dimension is
-chosen at *push* time from the table state at that sequence point.
+The frontier is expanded serially, one node at a time, as in the paper,
+and every split goes through ``problem.branch``.  Without a time budget
+the node sequence is a pure function of the problem and the config: heap
+ties on equal bounds break on a monotone sequence counter assigned at push
+time, and every incumbent-dependent decision made *inside* a relaxation is
+driven by the incumbent snapshot recorded when the node was pushed
+(threaded through ``relax_child_with_incumbent``), not by the incumbent at
+expansion time.  The snapshot is part of the search's definition: recorded
+node counts depend on it.
 
 Telemetry: pass a :class:`~repro.optim.trace.SolverTrace` to
 :meth:`BranchAndBoundSolver.solve` to record typed events (expand, prune,
@@ -40,7 +32,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -56,7 +48,6 @@ __all__ = [
     "BranchAndBoundStats",
     "BranchAndBoundResult",
     "BranchAndBoundSolver",
-    "PseudocostTable",
     "STOP_REASONS",
 ]
 
@@ -96,23 +87,13 @@ class Relaxation:
 class BranchAndBoundProblem(Protocol):
     """The problem-specific callbacks the driver needs.
 
-    Beyond the required methods, the driver honours several optional hooks:
-
-    - ``relax_child(box, parent_relaxation)`` — relax a child with its
-      parent's relaxation available as a warm start.
-    - ``relax_child_with_incumbent(box, parent_relaxation, incumbent)`` —
-      like ``relax_child`` but additionally receives the incumbent cost
-      snapshot recorded when the parent was pushed.  Problems whose
-      relaxation takes incumbent-dependent shortcuts (analytic skips,
-      objective-based presolve) should gate them on this snapshot.
-    - ``branch_dimension(box, relaxation)`` — the problem's fixed-order
-      branching dimension; consulted by pseudocost branching before its
-      table is initialized.
-    - ``branch_override(box, relaxation)`` — return child boxes to force a
-      structural split (e.g. separating a symmetric half-space), or
-      ``None`` to let the active branching rule decide.  Consulted only
-      under ``branching="pseudocost"`` (``problem.branch`` subsumes it in
-      the default mode).
+    Beyond the required methods, the driver honours one optional hook,
+    ``relax_child_with_incumbent(box, parent_relaxation, incumbent)``: relax
+    a child with its parent's relaxation available as a warm start and the
+    incumbent cost snapshot recorded when the parent was pushed.  Problems
+    whose relaxation takes incumbent-dependent shortcuts (analytic skips,
+    objective-based presolve) should gate them on this snapshot.  Without
+    the hook, children go through ``relax``.
     """
 
     def initial_box(self) -> Box:
@@ -157,31 +138,12 @@ class BranchAndBoundConfig:
         Stop when ``incumbent - best_lower_bound <= absolute_gap``.
     relative_gap:
         Stop when the gap relative to the incumbent is below this.
-    strategy:
-        ``"best-first"`` pops the node with the smallest lower bound
-        (optimal for proving); ``"depth-first"`` pops the most recently
-        created node (reaches terminal boxes — and hence exact incumbents —
-        sooner under tight budgets).  Both use the same pruning, so the
-        returned bounds are valid either way.
-    branching:
-        ``"problem"`` delegates every split to ``problem.branch``;
-        ``"pseudocost"`` branches on per-dimension degradation averages
-        (see the module docstring), falling back to the problem's fixed
-        order until the table is initialized.
     """
 
     max_nodes: int = 200_000
     time_limit: Optional[float] = None
     absolute_gap: float = 1e-9
     relative_gap: float = 1e-9
-    strategy: str = "best-first"
-    branching: str = "problem"
-
-    def __post_init__(self) -> None:
-        if self.strategy not in ("best-first", "depth-first"):
-            raise InputValidationError(f"unknown strategy {self.strategy!r}")
-        if self.branching not in ("problem", "pseudocost"):
-            raise InputValidationError(f"unknown branching {self.branching!r}")
 
 
 @dataclass
@@ -227,66 +189,13 @@ class BranchAndBoundResult:
         return self.cost - self.lower_bound
 
 
-class PseudocostTable:
-    """Per-dimension degradation averages for pseudocost branching.
-
-    For every branched dimension the table records, separately for the
-    down (first) and up (second) child, the average *unit gain*: how much
-    the child's lower bound rose above the parent's per quantum of child
-    width.  The score of a candidate dimension is the product of both
-    sides' predicted degradations (the classic product rule), and a
-    dimension only participates once both sides have at least one
-    observation.  Infeasible children record a large capped gain — cutting
-    off a whole half-box is the best outcome branching can have.
-    """
-
-    #: cap on a single observed unit gain (an infeasible child is mapped
-    #: here); keeps the averages finite and the ordering deterministic.
-    GAIN_CAP = 1e6
-
-    def __init__(self, ndim: int) -> None:
-        self.sums = np.zeros((2, ndim))
-        self.counts = np.zeros((2, ndim), dtype=np.int64)
-
-    def observe(self, dim: int, side: int, unit_gain: float) -> None:
-        self.sums[side, dim] += min(max(unit_gain, 0.0), self.GAIN_CAP)
-        self.counts[side, dim] += 1
-
-    def initialized(self, dim: int) -> bool:
-        return bool(self.counts[0, dim] > 0 and self.counts[1, dim] > 0)
-
-    def score(self, dim: int, half_width: float) -> float:
-        """Predicted product degradation of splitting ``dim``."""
-        down = self.sums[0, dim] / max(self.counts[0, dim], 1)
-        up = self.sums[1, dim] / max(self.counts[1, dim], 1)
-        return max(down * half_width, 1e-12) * max(up * half_width, 1e-12)
-
-
 def _relax_child(
     problem, child: Box, parent_relaxation: Relaxation, ctx: float
 ) -> Relaxation:
     hook = getattr(problem, "relax_child_with_incumbent", None)
     if hook is not None:
         return hook(child, parent_relaxation, ctx)
-    hook = getattr(problem, "relax_child", None)
-    if hook is not None:
-        return hook(child, parent_relaxation)
     return problem.relax(child)
-
-
-def _branch_children(
-    problem, box: Box, relaxation: Relaxation, dim: "int | None"
-) -> "Tuple[List[Box], int | None]":
-    """The node's children plus the dimension actually split (None when the
-    problem's own rule or an override produced them)."""
-    if dim is None:
-        return list(problem.branch(box, relaxation)), None
-    override = getattr(problem, "branch_override", None)
-    if override is not None:
-        forced = override(box, relaxation)
-        if forced is not None:
-            return list(forced), None
-    return list(box.split(dim)), dim
 
 
 class _SearchState:
@@ -299,11 +208,10 @@ class _SearchState:
         self.trace = trace
         self.start_time = start_time
         self.best: "Candidate | None" = incumbent
-        # Heap entries: (key, tick, bound, box, relaxation, ctx, dim).
+        # Heap entries: (bound, tick, box, relaxation, ctx); the head holds
+        # the smallest remaining bound.
         self.heap: "list[tuple]" = []
         self.ticks = itertools.count()
-        self.depth_first = config.strategy == "depth-first"
-        self.pseudocosts: "PseudocostTable | None" = None
         self._last_gap_bound = -np.inf
 
     # ------------------------------------------------------------------ #
@@ -315,54 +223,12 @@ class _SearchState:
         return limit is not None and self.elapsed() > limit
 
     def push(self, bound: float, box: Box, relaxation: Relaxation) -> None:
-        # The heap entry is (key, tiebreak, bound, box, relaxation, ctx,
-        # dim).  Best-first keys on the bound; depth-first keys on negative
-        # creation order, turning the heap into a stack while the true
-        # bound rides along for pruning and gap accounting.  The tiebreak
-        # tick is assigned here, in push order, which pins equal-bound ties
-        # deterministically.  ``ctx`` snapshots the incumbent cost and
-        # ``dim`` the pseudocost branching choice at the same sequence
-        # point, so expansion decisions never depend on when the node is
-        # later expanded.
-        tick = next(self.ticks)
-        key = float(-tick) if self.depth_first else bound
+        # The tick is assigned here, in push order, which pins equal-bound
+        # ties deterministically.  ``ctx`` snapshots the incumbent cost at
+        # the same sequence point, so expansion decisions never depend on
+        # when the node is later expanded.
         ctx = np.inf if self.best is None else self.best.cost
-        dim = None if self.pseudocosts is None else self.choose_dimension(box, relaxation)
-        heapq.heappush(self.heap, (key, tick, bound, box, relaxation, ctx, dim))
-
-    def choose_dimension(self, box: Box, relaxation: Relaxation) -> "int | None":
-        """Pseudocost branching choice (falls back to the fixed order)."""
-        table = self.pseudocosts
-        candidates = [
-            d
-            for d in range(box.ndim)
-            if (
-                box.steps[d] > 0
-                and box.grid_count(d) >= 2
-            )
-            or (box.steps[d] <= 0 and box.hi[d] - box.lo[d] > 0)
-        ]
-        if not candidates:
-            return None  # nothing to split: defer to problem.branch
-        if table is not None and all(table.initialized(d) for d in candidates):
-            widths = box.widths_in_quanta()
-            best_dim, best_score = candidates[0], -np.inf
-            for d in candidates:
-                score = table.score(d, 0.5 * widths[d])
-                if score > best_score:
-                    best_dim, best_score = d, score
-            return best_dim
-        hook = getattr(self.problem, "branch_dimension", None)
-        if hook is not None:
-            fixed = int(hook(box, relaxation))
-            if fixed in candidates:
-                return fixed
-        widths = box.widths_in_quanta()
-        best_dim, best_width = candidates[0], -np.inf
-        for d in candidates:
-            if widths[d] > best_width:
-                best_dim, best_width = d, widths[d]
-        return best_dim
+        heapq.heappush(self.heap, (bound, next(self.ticks), box, relaxation, ctx))
 
     def improve(self, candidates: Iterable[Candidate]) -> None:
         for cand in candidates:
@@ -378,12 +244,9 @@ class _SearchState:
             self.trace.record(kind, **kwargs)
 
     def gap_progress(self, bound: float) -> None:
-        """Emit a ``gap`` event when the global remaining bound advances.
-
-        Only meaningful for best-first, where the popped bound is the
-        global minimum over the frontier at pop time.
-        """
-        if self.trace is None or self.depth_first or self.best is None:
+        """Emit a ``gap`` event when the global remaining bound advances
+        (the popped bound is the minimum over the frontier at pop time)."""
+        if self.trace is None or self.best is None:
             return
         reported = min(bound, self.best.cost)
         if reported > self._last_gap_bound:
@@ -393,7 +256,7 @@ class _SearchState:
     def progress_tick(self) -> None:
         if self.trace is None or self.trace.progress is None:
             return
-        lower = min((entry[2] for entry in self.heap), default=None)
+        lower = self.heap[0][0] if self.heap else None
         if lower is not None and self.best is not None:
             lower = min(lower, self.best.cost)
         self.trace.maybe_progress(
@@ -466,8 +329,6 @@ class BranchAndBoundSolver:
 
         state = _SearchState(problem, config, stats, trace, start_time, incumbent)
         root = problem.initial_box()
-        if config.branching == "pseudocost":
-            state.pseudocosts = PseudocostTable(root.ndim)
         root_relax = problem.relax(root)
         if root_relax.feasible:
             state.improve(problem.candidates(root, root_relax))
@@ -487,7 +348,7 @@ class BranchAndBoundSolver:
             raise SolverBudgetExceeded(
                 "branch-and-bound found no feasible point within its budget"
             )
-        remaining_bound = min((entry[2] for entry in state.heap), default=best.cost)
+        remaining_bound = state.heap[0][0] if state.heap else best.cost
         proven = not state.heap or self._gap_closed(best.cost, remaining_bound, config)
         result = BranchAndBoundResult(
             x=best.x,
@@ -516,8 +377,8 @@ class BranchAndBoundSolver:
             if st.out_of_time():
                 stats.stop_reason = "time"
                 return
-            _, _, bound, box, relaxation, ctx, dim = heapq.heappop(st.heap)
-            if self._process_node(st, bound, box, relaxation, ctx, dim):
+            bound, _, box, relaxation, ctx = heapq.heappop(st.heap)
+            if self._process_node(st, bound, box, relaxation, ctx):
                 return
             st.progress_tick()
         # Heap drained: proven optimality by exhaustion.
@@ -530,7 +391,6 @@ class BranchAndBoundSolver:
         box: Box,
         relaxation: Relaxation,
         ctx: float,
-        dim: "int | None",
     ) -> bool:
         """Prune, resolve, or branch one popped node.
 
@@ -545,13 +405,9 @@ class BranchAndBoundSolver:
             stats.nodes_pruned += 1
             st.event("prune", bound=bound, incumbent=best.cost)
             return False
-        if (
-            best is not None
-            and not st.depth_first
-            and self._gap_closed(best.cost, bound, config)
-        ):
-            # Best-first pops bounds in increasing order, so the popped
-            # bound is the global remaining bound and the gap is closed.
+        if best is not None and self._gap_closed(best.cost, bound, config):
+            # Bounds pop in increasing order, so the popped bound is the
+            # global remaining bound and the gap is closed.
             st.push(bound, box, relaxation)
             stats.stop_reason = "gap"
             st.event(
@@ -573,7 +429,7 @@ class BranchAndBoundSolver:
             return False
 
         stats.nodes_branched += 1
-        children, used_dim = _branch_children(st.problem, box, relaxation, dim)
+        children = list(st.problem.branch(box, relaxation))
         st.event(
             "expand",
             bound=bound,
@@ -590,30 +446,8 @@ class BranchAndBoundSolver:
                 stats.stop_reason = "time"
                 return True
             child_relax = _relax_child(st.problem, child, relaxation, ctx)
-            self._observe_branching(st, used_dim, index, bound, child, child_relax)
             self._consume_child(st, child, child_relax)
         return False
-
-    def _observe_branching(
-        self,
-        st: _SearchState,
-        used_dim: "int | None",
-        side: int,
-        parent_bound: float,
-        child: Box,
-        child_relax: Relaxation,
-    ) -> None:
-        """Feed one child's bound degradation into the pseudocost table
-        (before the child is consumed)."""
-        table = st.pseudocosts
-        if table is None or used_dim is None or side > 1:
-            return
-        half_width = max(float(child.widths_in_quanta()[used_dim]), 1e-12)
-        gain = child_relax.lower_bound - parent_bound
-        if not np.isfinite(gain):
-            table.observe(used_dim, side, PseudocostTable.GAIN_CAP)
-        else:
-            table.observe(used_dim, side, gain / half_width)
 
     def _consume_child(self, st: _SearchState, child: Box, child_relax: Relaxation) -> None:
         stats = st.stats

@@ -4,7 +4,8 @@ A :class:`Presolver` holds the *static* structure of one problem instance —
 linear rows ``a'w <= b`` (the single-variable Eq. 18 overflow rows and the
 axis outer-approximations of the Eq. 20 cones), the linear link ``t = d'w``,
 the grid steps, and optionally the diagonal of the inverse objective matrix
-— and tightens a node's ``(w, t)`` intervals with three classic reductions:
+— and tightens a node's ``(w, t)`` intervals with three classic reductions
+and one specific to the Fisher cost:
 
 1. **Feasibility-based bound tightening (FBBT)** over every linear row and
    the ``t``-link, iterated to a (capped) fixpoint.  Removes only points

@@ -367,16 +367,21 @@ class InferenceServer:
         except ConnectionError:
             pass
 
+    def _refuse(self, status: int, message: str) -> "Tuple[int, str, str]":
+        """An answer of the HTTP router itself, counted on ``errors_total``."""
+        self.metrics.observe_error()
+        return status, "application/json", json.dumps({"error": message})
+
     async def _handle_request(
         self, prefix: bytes, reader: asyncio.StreamReader
     ) -> "Tuple[int, str, str]":
         try:
             request_line = prefix + await reader.readline()
         except (ConnectionError, asyncio.LimitOverrunError):
-            return 400, "application/json", json.dumps({"error": "bad request"})
+            return self._refuse(400, "bad request")
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return 400, "application/json", json.dumps({"error": "bad request line"})
+            return self._refuse(400, "bad request line")
         method, path = parts[0].upper(), parts[1]
 
         content_length = 0
@@ -389,11 +394,11 @@ class InferenceServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    return 400, "application/json", json.dumps(
-                        {"error": "bad Content-Length"}
-                    )
+                    content_length = -1
+                if content_length < 0:
+                    return self._refuse(400, "bad Content-Length")
         if content_length > wire.MAX_BODY_BYTES:
-            return 413, "application/json", json.dumps({"error": "body too large"})
+            return self._refuse(413, "body too large")
         body = await reader.readexactly(content_length) if content_length else b""
 
         if path == "/healthz" and method == "GET":
@@ -411,11 +416,9 @@ class InferenceServer:
             return 200, "application/json", self.metrics.to_json()
         if path in _POST_PATHS:
             if method != "POST":
-                return 405, "application/json", json.dumps(
-                    {"error": f"use POST {path}"}
-                )
+                return self._refuse(405, f"use POST {path}")
             return await self._post(path, body)
-        return 404, "application/json", json.dumps({"error": f"no route {path}"})
+        return self._refuse(404, f"no route {path}")
 
     async def _post(self, path: str, body: bytes) -> "Tuple[int, str, str]":
         """Serve one JSON POST endpoint; any failure answers per :meth:`_failure`.
@@ -428,9 +431,11 @@ class InferenceServer:
         """
         started = time.perf_counter()
         try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(payload, dict):
-                raise ServeError("request body must be a JSON object")
+            payload = (
+                wire.decode_json_object(body.decode("utf-8"), "request body")
+                if body
+                else {}
+            )
             if path == "/predict":
                 doc = await self._predict_json(payload, started)
             else:

@@ -195,6 +195,7 @@ __all__ = [
     "encode_stream_closed",
     "read_header",
     "decode_body",
+    "decode_json_object",
     "decode_frame",
     "split_frames",
 ]
@@ -637,14 +638,9 @@ def _decode_stream_open(body: bytes) -> StreamOpen:
     config_start = _STREAM_OPEN_HEAD.size + key_len
     _sized(body, reserved, config_start + config_len, "stream-open")
     key = _key(body, _STREAM_OPEN_HEAD.size, key_len)
-    try:
-        config = json.loads(_text(body, config_start, config_len, "stream config"))
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise DataError(f"stream config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise DataError(
-            f"stream config must be a JSON object, got {type(config).__name__}"
-        )
+    config = decode_json_object(
+        _text(body, config_start, config_len, "stream config"), "stream config"
+    )
     return StreamOpen(key=key, config=config)
 
 
@@ -753,6 +749,23 @@ def decode_body(body: bytes) -> _Frame:
     if not 1 <= body[0] <= len(_DECODERS):
         raise DataError(f"unknown wire frame kind {body[0]}")
     return _DECODERS[body[0] - 1](body)
+
+
+def decode_json_object(text: str, what: str) -> dict:
+    """Parse ``text`` as a JSON object, the one JSON decoder of both
+    protocols (stream-open configs and HTTP bodies).
+
+    Invalid JSON, JSON nested deeper than the interpreter's recursion
+    limit, and any value that is not an object raise
+    :class:`~repro.errors.DataError` naming ``what``.
+    """
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise DataError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def decode_frame(data: bytes) -> Tuple[_Frame, int]:

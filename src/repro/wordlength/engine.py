@@ -1,4 +1,4 @@
-"""Warm-started, parallel word-length sweep engine.
+"""Warm-started word-length sweep engine.
 
 The naive sweep retrains every ``QK.F`` point from scratch: it refits the
 feature scaler, refits the conventional-LDA warm start, and hands
@@ -13,8 +13,8 @@ length's solution.  This engine removes all three redundancies:
    threaded into every :meth:`~repro.core.pipeline.TrainingPipeline.run`
    call (``pre_scaled=True``), leaving only the genuinely grid-dependent
    work — quantization, statistics, and the solve — per point.
-2. **Cross-word-length incumbent seeding** — each point (after the first in
-   its chunk) passes the previous point's solved ``w`` to
+2. **Cross-word-length incumbent seeding** — each point after the first
+   passes the previous point's solved ``w`` to
    :func:`~repro.core.ldafp.train_lda_fp`, which requantizes it onto the
    new grid, validates it against the exact overflow constraints (invalid
    seeds are rejected and counted, never silently used), and injects it as
@@ -24,12 +24,9 @@ length's solution.  This engine removes all three redundancies:
    anything.  Sweeping a descending ``word_lengths`` list seeds each point
    from the *next* (wider) word length's solution, as the chain simply
    follows the order given.
-3. **Process-parallel chunks with a deterministic merge** — the word-length
-   list is split into ``workers`` contiguous chunks; chunks run in separate
-   processes (threads when a process pool cannot start), seeds flow only
-   *within* a chunk (so the schedule is a deterministic function of the
-   inputs, never of timing), and results are merged back in input order.
-   Each point's own branch-and-bound runs serially inside its chunk.
+
+Points are solved one after another in the given order, each with its own
+serial branch-and-bound.
 
 Telemetry: pass a :class:`~repro.wordlength.sweeptrace.SweepTrace` to
 record one ``repro.sweep-trace/v1`` point record per word length, each
@@ -38,15 +35,13 @@ optionally embedding that point's full ``repro.solver-trace/v1`` stream.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from ..core.pipeline import PipelineConfig, TrainingPipeline
 from ..data.dataset import Dataset
-from ..data.scaling import FeatureScaler
 from ..errors import DataError, InputValidationError
 from ..hardware.power import paper_power_model
 from ..optim.trace import SolverTrace
@@ -63,13 +58,10 @@ class SweepConfig:
 
     Attributes
     ----------
-    workers:
-        Number of contiguous word-length chunks solved concurrently
-        (``1`` = the serial reference sweep).
     seed_incumbents:
         Seed each point's branch-and-bound incumbent with the previous
         point's solved weights, requantized onto the new grid (lda-fp
-        only; seeds never cross chunk boundaries).
+        only).
     point_time_limit:
         Per-point wall-clock budget in seconds: clamps (never extends) the
         ``LdaFpConfig.time_limit`` of every sweep point.  Either a single
@@ -77,18 +69,12 @@ class SweepConfig:
         mapping budgeting individual points (word lengths absent from the
         mapping run uncapped) — the knob that lets one sweep mix fully
         certified points with tightly budgeted exploratory ones.
-
-    Chunks run in a process pool, falling back to threads when the pool
-    cannot start or a worker dies.
     """
 
-    workers: int = 1
     seed_incumbents: bool = True
     point_time_limit: "float | dict[int, float] | None" = None
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise InputValidationError(f"workers must be >= 1, got {self.workers}")
         if isinstance(self.point_time_limit, dict):
             for wl, budget in self.point_time_limit.items():
                 if budget <= 0:
@@ -124,31 +110,6 @@ def float_warm_direction(train_scaled: Dataset) -> "np.ndarray | None":
     return direction / norm
 
 
-# --------------------------------------------------------------------- #
-# Chunk execution.  One chunk = a contiguous run of word lengths solved
-# serially in one process, with the incumbent-seed chain flowing through
-# it.  The function is module-level so process pools can pickle it.
-# --------------------------------------------------------------------- #
-
-
-@dataclass
-class _PointOutcome:
-    """Picklable result of one sweep point (power attached at merge time)."""
-
-    word_length: int
-    test_error: float
-    train_seconds: float
-    proven_optimal: Optional[bool]
-    stop_reason: Optional[str]
-    cost: Optional[float]
-    weights: "tuple[float, ...]"
-    seeded: bool
-    seeds_injected: int
-    seeds_rejected: int
-    seeds_adopted: int
-    solver_trace: Optional[SolverTrace]
-
-
 def _budget_for(
     point_time_limit: "float | dict[int, float] | None", word_length: int
 ) -> "float | None":
@@ -175,82 +136,6 @@ def _point_pipeline_config(
     )
 
 
-def _solve_chunk(
-    train_scaled: Dataset,
-    test_scaled: Dataset,
-    word_lengths: Sequence[int],
-    pipeline_config: PipelineConfig,
-    scaler: FeatureScaler,
-    warm_direction: "np.ndarray | None",
-    seed_incumbents: bool,
-    collect_traces: bool,
-    point_time_limit: "float | dict[int, float] | None" = None,
-    trace_factory: "Callable[[int], object] | None" = None,
-) -> "List[_PointOutcome]":
-    is_ldafp = pipeline_config.method == "lda-fp"
-    outcomes: "List[_PointOutcome]" = []
-    prev_weights: "np.ndarray | None" = None
-    for wl in word_lengths:
-        pipeline = TrainingPipeline(
-            _point_pipeline_config(pipeline_config, _budget_for(point_time_limit, wl))
-        )
-        if trace_factory is not None:
-            trace = trace_factory(wl)
-        elif collect_traces and is_ldafp:
-            trace = SolverTrace()
-        else:
-            trace = None
-        seeds = (
-            [prev_weights]
-            if seed_incumbents and is_ldafp and prev_weights is not None
-            else None
-        )
-        result = pipeline.run(
-            train_scaled,
-            test_scaled,
-            wl,
-            trace=trace,
-            scaler=scaler,
-            warm_start_direction=warm_direction if is_ldafp else None,
-            incumbent_seeds=seeds,
-            pre_scaled=True,
-        )
-        report = result.ldafp_report
-        outcomes.append(
-            _PointOutcome(
-                word_length=wl,
-                test_error=result.test_error,
-                train_seconds=result.train_seconds,
-                proven_optimal=None if report is None else report.proven_optimal,
-                stop_reason=None if report is None else report.stop_reason,
-                cost=None if report is None else report.cost,
-                weights=tuple(float(w) for w in result.classifier.weights),
-                seeded=bool(seeds),
-                seeds_injected=0 if report is None else report.seeds_injected,
-                seeds_rejected=0 if report is None else report.seeds_rejected,
-                seeds_adopted=0 if report is None else report.seeds_adopted,
-                solver_trace=trace if isinstance(trace, SolverTrace) else None,
-            )
-        )
-        prev_weights = np.asarray(result.classifier.weights, dtype=np.float64)
-    return outcomes
-
-
-def _chunk_word_lengths(
-    word_lengths: Sequence[int], workers: int
-) -> "List[List[int]]":
-    """Contiguous, balanced chunks preserving the given sweep order."""
-    count = max(1, min(workers, len(word_lengths)))
-    base, extra = divmod(len(word_lengths), count)
-    chunks: "List[List[int]]" = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < extra else 0)
-        chunks.append(list(word_lengths[start : start + size]))
-        start += size
-    return chunks
-
-
 def run_sweep(
     train: Dataset,
     test: Dataset,
@@ -262,21 +147,17 @@ def run_sweep(
 ) -> "List[SweepPoint]":
     """Run the sweep engine; returns one :class:`SweepPoint` per word length.
 
-    The returned list follows the order of ``word_lengths`` regardless of
-    how many workers solved it (deterministic merge).  ``sweep_trace``
-    collects ``repro.sweep-trace/v1`` telemetry; ``trace_factory`` is the
-    legacy per-word-length :class:`SolverTrace` hook and is only supported
-    serially (callables generally do not cross process boundaries).
+    Points are solved and returned in the order of ``word_lengths``.
+    ``sweep_trace`` collects ``repro.sweep-trace/v1`` telemetry;
+    ``trace_factory`` maps each word length to the
+    :class:`~repro.optim.trace.SolverTrace` (or ``None``) that point's
+    solve records into.
     """
     if not word_lengths:
         raise DataError("no word lengths given")
     pipeline_config = pipeline_config or PipelineConfig()
     sweep_config = sweep_config or SweepConfig()
-    if trace_factory is not None and sweep_config.workers > 1:
-        raise InputValidationError(
-            "trace_factory is only supported with workers=1; "
-            "use a SweepTrace to collect parallel telemetry"
-        )
+    is_ldafp = pipeline_config.method == "lda-fp"
     # Hoisted, word-length-invariant work: one scaler fit, one transform of
     # each dataset, one float warm-start fit.
     pipeline = TrainingPipeline(pipeline_config)
@@ -285,72 +166,68 @@ def run_sweep(
     train_scaled = train.map_features(scaler.transform)
     test_scaled = test.map_features(scaler.transform)
     warm_direction = None
-    if pipeline_config.method == "lda-fp" and pipeline_config.ldafp.warm_start:
+    if is_ldafp and pipeline_config.ldafp.warm_start:
         warm_direction = float_warm_direction(train_scaled)
-
-    chunks = _chunk_word_lengths(word_lengths, sweep_config.workers)
-    collect_traces = sweep_trace is not None
-    chunk_args = [
-        (
-            train_scaled,
-            test_scaled,
-            chunk,
-            pipeline_config,
-            scaler,
-            warm_direction,
-            sweep_config.seed_incumbents,
-            collect_traces,
-            sweep_config.point_time_limit,
-        )
-        for chunk in chunks
-    ]
-
-    if len(chunks) == 1 or sweep_config.workers == 1:
-        chunk_outcomes = [
-            _solve_chunk(*chunk_args[0], trace_factory=trace_factory)
-        ]
-    else:
-        chunk_outcomes = _run_chunks_parallel(chunk_args)
 
     model = paper_power_model()
     points: "List[SweepPoint]" = []
-    for chunk_index, outcomes in enumerate(chunk_outcomes):
-        for index_in_chunk, outcome in enumerate(outcomes):
-            point = SweepPoint(
-                word_length=outcome.word_length,
-                test_error=outcome.test_error,
-                power=model.power(outcome.word_length),
-                train_seconds=outcome.train_seconds,
-                proven_optimal=outcome.proven_optimal,
-                stop_reason=outcome.stop_reason,
-                cost=outcome.cost,
-                weights=outcome.weights,
+    prev_weights: "np.ndarray | None" = None
+    for wl in word_lengths:
+        budget = _budget_for(sweep_config.point_time_limit, wl)
+        if trace_factory is not None:
+            trace = trace_factory(wl)
+        elif sweep_trace is not None and is_ldafp:
+            trace = SolverTrace()
+        else:
+            trace = None
+        seeds = (
+            [prev_weights]
+            if sweep_config.seed_incumbents and is_ldafp and prev_weights is not None
+            else None
+        )
+        result = TrainingPipeline(_point_pipeline_config(pipeline_config, budget)).run(
+            train_scaled,
+            test_scaled,
+            wl,
+            trace=trace,
+            scaler=scaler,
+            warm_start_direction=warm_direction,
+            incumbent_seeds=seeds,
+            pre_scaled=True,
+        )
+        report = result.ldafp_report
+        point = SweepPoint(
+            word_length=wl,
+            test_error=result.test_error,
+            power=model.power(wl),
+            train_seconds=result.train_seconds,
+            proven_optimal=None if report is None else report.proven_optimal,
+            stop_reason=None if report is None else report.stop_reason,
+            cost=None if report is None else report.cost,
+            weights=tuple(float(w) for w in result.classifier.weights),
+        )
+        points.append(point)
+        if sweep_trace is not None:
+            sweep_trace.add_point(
+                SweepPointRecord(
+                    word_length=wl,
+                    seeded=bool(seeds),
+                    seeds_injected=0 if report is None else report.seeds_injected,
+                    seeds_rejected=0 if report is None else report.seeds_rejected,
+                    seeds_adopted=0 if report is None else report.seeds_adopted,
+                    cost=point.cost,
+                    test_error=point.test_error,
+                    train_seconds=point.train_seconds,
+                    proven_optimal=point.proven_optimal,
+                    stop_reason=point.stop_reason,
+                ),
+                solver_trace=trace if isinstance(trace, SolverTrace) else None,
             )
-            points.append(point)
-            if sweep_trace is not None:
-                sweep_trace.add_point(
-                    SweepPointRecord(
-                        word_length=outcome.word_length,
-                        chunk=chunk_index,
-                        index_in_chunk=index_in_chunk,
-                        seeded=outcome.seeded,
-                        seeds_injected=outcome.seeds_injected,
-                        seeds_rejected=outcome.seeds_rejected,
-                        seeds_adopted=outcome.seeds_adopted,
-                        cost=outcome.cost,
-                        test_error=outcome.test_error,
-                        train_seconds=outcome.train_seconds,
-                        proven_optimal=outcome.proven_optimal,
-                        stop_reason=outcome.stop_reason,
-                    ),
-                    solver_trace=outcome.solver_trace,
-                )
+        prev_weights = np.asarray(result.classifier.weights, dtype=np.float64)
     if sweep_trace is not None:
         sweep_trace.meta = {
             "word_lengths": [int(wl) for wl in word_lengths],
             "method": pipeline_config.method,
-            "workers": sweep_config.workers,
-            "chunks": [list(chunk) for chunk in chunks],
             "seed_incumbents": sweep_config.seed_incumbents,
             "point_time_limit": (
                 {str(wl): limit for wl, limit in sweep_config.point_time_limit.items()}
@@ -360,17 +237,3 @@ def run_sweep(
             "warm_direction_hoisted": warm_direction is not None,
         }
     return points
-
-
-def _run_chunks_parallel(chunk_args):
-    """Solve chunks concurrently; results come back in chunk order."""
-    workers = len(chunk_args)
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_chunk, *args) for args in chunk_args]
-            return [future.result() for future in futures]
-    except (OSError, concurrent.futures.process.BrokenProcessPool):
-        pass  # no process support (or worker died): thread fallback
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_solve_chunk, *args) for args in chunk_args]
-        return [future.result() for future in futures]

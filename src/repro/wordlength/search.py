@@ -4,11 +4,11 @@ Ties the pieces together: given train/test data and a target error, find
 the smallest total word length whose (retrained) classifier meets it, and
 build the (word length, error, power) Pareto front a designer reads.
 
-:func:`wordlength_sweep` is the serial reference sweep; it delegates to
-the engine in :mod:`repro.wordlength.engine` with one worker and no
-incumbent seeding, so work that is invariant across word lengths (the
-feature scaler, the float-LDA warm-start direction) is hoisted out of the
-loop exactly once either way.
+:func:`wordlength_sweep` is the reference sweep; it delegates to the
+engine in :mod:`repro.wordlength.engine` with no incumbent seeding, so
+work that is invariant across word lengths (the feature scaler, the
+float-LDA warm-start direction) is hoisted out of the loop exactly once
+either way.
 
 Monotonicity caveat: measured error is *not* guaranteed monotone in word
 length on small test sets (the paper notes the same for its Table 2), so
@@ -80,7 +80,7 @@ def wordlength_sweep(
         test,
         word_lengths,
         pipeline_config=pipeline_config,
-        sweep_config=SweepConfig(workers=1, seed_incumbents=False),
+        sweep_config=SweepConfig(seed_incumbents=False),
         trace_factory=trace_factory,
     )
 

@@ -1,25 +1,24 @@
 """Sweep-level telemetry: ``repro.sweep-trace/v1``.
 
 A :class:`SweepTrace` records one :class:`SweepPointRecord` per evaluated
-word length — which chunk solved it, whether it received a cross-word-length
-incumbent seed, how many seeds survived validation, and how that point's
-search stopped.  It layers on the existing per-solve telemetry: each point
-may embed a full :class:`~repro.optim.trace.SolverTrace` payload
-(``repro.solver-trace/v1``) under its ``solver`` key, so one JSON file
-carries both the sweep-level schedule and every node-level event stream.
+word length — whether it received a cross-word-length incumbent seed, how
+many seeds survived validation, and how that point's search stopped.  It
+layers on the existing per-solve telemetry: each point may embed a full
+:class:`~repro.optim.trace.SolverTrace` payload (``repro.solver-trace/v1``)
+under its ``solver`` key, so one JSON file carries both the sweep-level
+schedule and every node-level event stream.
 
 Schema (``repro.sweep-trace/v1``)::
 
     {
       "schema": "repro.sweep-trace/v1",
-      "meta":   {engine configuration: workers, seed_incumbents, ...},
+      "meta":   {engine configuration: seed_incumbents, ...},
       "points": [
         {
-          "word_length": 6, "chunk": 0, "index_in_chunk": 1,
-          "seeded": true, "seeds_injected": 1, "seeds_rejected": 0,
-          "seeds_adopted": 1, "cost": 0.123, "test_error": 0.04,
-          "train_seconds": 0.8, "proven_optimal": true,
-          "stop_reason": "gap",
+          "word_length": 6, "seeded": true, "seeds_injected": 1,
+          "seeds_rejected": 0, "seeds_adopted": 1, "cost": 0.123,
+          "test_error": 0.04, "train_seconds": 0.8,
+          "proven_optimal": true, "stop_reason": "gap",
           "solver": {repro.solver-trace/v1 payload or null}
         }, ...
       ]
@@ -30,9 +29,10 @@ engine imports the trace), and the export round-trips through
 :meth:`SweepTrace.from_json` so a trace written by ``repro sweep
 --sweep-trace`` can be audited offline.  Loading validates every point: an
 unknown or missing key raises :class:`~repro.errors.InputValidationError`
-naming it.  Files written before the solver became serial-only carry two
-retired per-point keys naming the frontier executor; exactly those two are
-dropped on read (:data:`_RETIRED_POINT_KEYS`) so old traces still load.
+naming it.  Files written by older versions carry retired per-point keys
+(the frontier executor, and the parallel chunk a point was solved in);
+exactly those are dropped on read (:data:`_RETIRED_POINT_KEYS`) so old
+traces still load.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class SweepPointRecord:
     """
 
     word_length: int
-    chunk: int
-    index_in_chunk: int
     seeded: bool
     seeds_injected: int
     seeds_rejected: int
@@ -75,7 +73,12 @@ class SweepPointRecord:
 
 
 #: point keys written by older versions that carry no information any more
-_RETIRED_POINT_KEYS = ("solver_executor", "solver_executor_fallback")
+_RETIRED_POINT_KEYS = (
+    "solver_executor",
+    "solver_executor_fallback",
+    "chunk",
+    "index_in_chunk",
+)
 
 
 class SweepTrace:

@@ -64,11 +64,32 @@ class TestBackendAblation:
 
 
 class TestPropagationAblation:
-    def test_on_off(self):
+    def test_on_off(self, monkeypatch):
+        # Count t-link propagation passes per arm: the ablation must toggle
+        # the propagation it claims to, not run the same search twice.
+        from repro.core.problem import LdaFpProblem
+        from repro.experiments import ablations
+
+        passes: "list[int]" = []
+        propagate = LdaFpProblem.propagate_t_interval
+        train = ablations.train_lda_fp
+
+        def counting_propagate(self, *args, **kwargs):
+            passes[-1] += 1
+            return propagate(self, *args, **kwargs)
+
+        def per_arm_train(*args, **kwargs):
+            passes.append(0)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(LdaFpProblem, "propagate_t_interval", counting_propagate)
+        monkeypatch.setattr(ablations, "train_lda_fp", per_arm_train)
         points = run_propagation_ablation(max_nodes=15, time_limit=3.0)
         assert [p.bound_propagation for p in points] == [True, False]
         for p in points:
             assert np.isfinite(p.cost)
+        assert passes[0] > 0
+        assert passes[1] == 0
 
 
 class TestDimensionScaling:

@@ -68,6 +68,16 @@ class InfeasibleProblem(QuadraticGridProblem):
         return Relaxation(lower_bound=np.inf)
 
 
+class NoCandidateProblem(QuadraticGridProblem):
+    """Feasible relaxations but no incumbents until a terminal box."""
+
+    def candidates(self, box, relaxation):
+        return []
+
+    def is_terminal(self, box):
+        return False  # never terminal: the driver can only run out of budget
+
+
 class TestDriver:
     def test_finds_grid_optimum_1d(self):
         problem = QuadraticGridProblem(np.array([0.30]), -1.0, 1.0, 0.25)
@@ -138,62 +148,13 @@ class TestDriver:
         result = BranchAndBoundSolver(config).solve(problem)
         assert np.isfinite(result.cost)
 
-
-class TestDepthFirst:
-    def test_same_optimum_as_best_first(self):
-        target = np.array([0.3, -0.6, 0.9])
-        for strategy in ("best-first", "depth-first"):
-            problem = QuadraticGridProblem(target, -1.0, 1.0, 0.25)
-            result = BranchAndBoundSolver(
-                BranchAndBoundConfig(strategy=strategy)
-            ).solve(problem)
-            assert result.proven_optimal
-            assert np.allclose(result.x, [0.25, -0.5, 1.0])
-
-    def test_depth_first_reaches_terminal_nodes_early(self):
-        target = np.arange(4) / 10.0
-        problem = QuadraticGridProblem(target, -1.0, 1.0, 0.125)
-        config = BranchAndBoundConfig(strategy="depth-first", max_nodes=40)
-        result = BranchAndBoundSolver(config).solve(problem)
-        # Diving hits terminal boxes within a small node budget.
-        assert result.stats.terminal_nodes >= 1
-
-    def test_bounds_still_valid(self):
-        problem = QuadraticGridProblem(np.array([0.3, 0.3]), -1.0, 1.0, 0.25)
-        result = BranchAndBoundSolver(
-            BranchAndBoundConfig(strategy="depth-first")
-        ).solve(problem)
-        assert result.lower_bound <= result.cost + 1e-12
-
-    def test_unknown_strategy_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            BranchAndBoundConfig(strategy="sideways")
-
     def test_no_feasible_point_under_budget_raises(self):
-        # Depth-first with a candidate-free problem and a tiny node budget:
-        # the budget expires with no incumbent.
+        # A candidate-free problem and a tiny node budget: the budget
+        # expires with no incumbent.
         problem = NoCandidateProblem(np.array([0.3, -0.2]), -1.0, 1.0, 2.0**-8)
-        config = BranchAndBoundConfig(strategy="depth-first", max_nodes=3)
+        config = BranchAndBoundConfig(max_nodes=3)
         with pytest.raises(SolverBudgetExceeded):
             BranchAndBoundSolver(config).solve(problem)
-
-    def test_depth_first_never_stops_on_gap(self):
-        problem = QuadraticGridProblem(np.array([0.3]), -1.0, 1.0, 0.25)
-        config = BranchAndBoundConfig(strategy="depth-first", relative_gap=0.9)
-        result = BranchAndBoundSolver(config).solve(problem)
-        assert result.stats.stop_reason == "exhausted"
-
-
-class NoCandidateProblem(QuadraticGridProblem):
-    """Feasible relaxations but no incumbents until a terminal box."""
-
-    def candidates(self, box, relaxation):
-        return []
-
-    def is_terminal(self, box):
-        return False  # never terminal: the driver can only run out of budget
 
 
 class SlowChildrenProblem(QuadraticGridProblem):
@@ -311,21 +272,3 @@ class TestHeapTieBreaking:
         second_result, second = self._event_stream()
         assert first == second
         assert np.array_equal(first_result.x, second_result.x)
-
-
-class TestPseudocostBranching:
-    def test_same_optimum_as_problem_branching(self):
-        target = np.array([0.31, -0.57, 0.88])
-        baseline = BranchAndBoundSolver().solve(
-            QuadraticGridProblem(target, -1.0, 1.0, 0.25)
-        )
-        pseudo = BranchAndBoundSolver(
-            BranchAndBoundConfig(branching="pseudocost")
-        ).solve(QuadraticGridProblem(target, -1.0, 1.0, 0.25))
-        assert pseudo.proven_optimal
-        assert pseudo.cost == baseline.cost
-        assert np.array_equal(pseudo.x, baseline.x)
-
-    def test_table_rejects_unknown_branching(self):
-        with pytest.raises(Exception):
-            BranchAndBoundConfig(branching="strong")

@@ -40,6 +40,17 @@ class TestParser:
         args = build_parser().parse_args(["report", "--trace", "out.json"])
         assert args.trace == "out.json"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--branching", "pseudocost"],
+            ["sweep", "--sweep-workers", "2"],
+        ],
+    )
+    def test_removed_search_options_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tableX"])

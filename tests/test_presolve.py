@@ -350,15 +350,14 @@ class TestReflectionCut:
 
 
 # --------------------------------------------------------------------- #
-# End to end: every accelerated arm returns the plain tree's result.
+# End to end: the accelerated arm returns the plain tree's result.
 # --------------------------------------------------------------------- #
 class TestAcceleratedVsPlain:
     @pytest.mark.parametrize("seed", range(4))
     def test_accelerated_arm_matches_plain(self, seed):
-        """Presolve + symmetry cuts (with either branching rule) must
-        return the identical result triple as the plain tree — the
-        reductions only remove points that are infeasible, dominated, or
-        mirrored, never the optimum."""
+        """Presolve + symmetry cuts must return the identical result
+        triple as the plain tree — the reductions only remove points that
+        are infeasible, dominated, or mirrored, never the optimum."""
         from repro.core.ldafp import LdaFpConfig, train_lda_fp
         from tests.test_properties import random_instance
 
@@ -367,10 +366,6 @@ class TestAcceleratedVsPlain:
         for label, kw in (
             ("plain", dict(presolve=False, symmetry_cuts=False)),
             ("accelerated", dict(presolve=True, symmetry_cuts=True)),
-            (
-                "accelerated-pseudocost",
-                dict(presolve=True, symmetry_cuts=True, branching="pseudocost"),
-            ),
         ):
             config = LdaFpConfig(
                 max_nodes=200_000,
@@ -387,3 +382,24 @@ class TestAcceleratedVsPlain:
             assert report.proven_optimal, label
             assert report.cost == plain.cost, label
             assert report.lower_bound == plain.lower_bound, label
+
+
+class TestPinnedSearch:
+    def test_pinned_q23_default_search(self):
+        """The default search on the pinned Q2.3 solver case (the one
+        ``benchmarks/test_solver_microbench.py`` times): 1000 synthetic
+        trials per class, seed 0, scaled to 90% of the range, solved to
+        proven optimality.  Its node count is part of the search's
+        definition, so any change to the node sequence shows here."""
+        from repro.core.ldafp import LdaFpConfig, train_lda_fp
+        from repro.data.scaling import FeatureScaler
+        from repro.data.synthetic import make_synthetic_dataset
+
+        ds = make_synthetic_dataset(1000, seed=0)
+        ds = ds.map_features(FeatureScaler(limit=0.9).fit(ds.features).transform)
+        config = LdaFpConfig(max_nodes=20_000, time_limit=None, relative_gap=1e-6)
+        _, report = train_lda_fp(ds, QFormat(2, 3), config)
+        assert report.nodes_expanded == 33
+        assert report.symmetry_pruned == 2
+        assert report.proven_optimal
+        assert report.cost == report.lower_bound == 0.6003187630006743

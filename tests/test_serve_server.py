@@ -10,6 +10,7 @@ to ``predict_bitexact`` and ``/metrics`` counters advance.
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -67,6 +68,17 @@ def _post_json(url, payload):
 def _get(url, timeout=10):
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.status, response.read().decode()
+
+
+def _raw_status(port, request: bytes) -> int:
+    """Send raw request bytes (urllib would fix a bad header) and return
+    the answer's status code."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    return int(answer.split()[1])
 
 
 class TestPredict:
@@ -155,9 +167,38 @@ class TestPredict:
         assert excinfo.value.code == 400
 
     def test_get_predict_is_405(self, server):
+        before = server.server.metrics.errors_total
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/predict")
         assert excinfo.value.code == 405
+        assert server.server.metrics.errors_total == before + 1
+
+    @pytest.mark.parametrize(
+        "path", ["/predict", "/stream/open", "/stream/chunk", "/stream/close"]
+    )
+    def test_deeply_nested_body_is_counted_400(self, server, path):
+        # json.loads raises RecursionError, not ValueError, on this body.
+        before = server.server.metrics.errors_total
+        request = urllib.request.Request(
+            server.url + path, data=b"[" * 100_000, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        with excinfo.value as error:
+            assert error.code == 400
+            assert "not valid JSON" in json.loads(error.read())["error"]
+        assert server.server.metrics.errors_total == before + 1
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("ten", 400), ("-5", 400), (str(2**40), 413)],
+        ids=["unparseable", "negative", "too-large"],
+    )
+    def test_bad_content_length_is_counted(self, server, length, status):
+        before = server.server.metrics.errors_total
+        request = f"POST /predict HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        assert _raw_status(server.port, request.encode("ascii")) == status
+        assert server.server.metrics.errors_total == before + 1
 
 
 class TestObservability:
@@ -195,9 +236,11 @@ class TestObservability:
         assert payload["requests_total"] >= 1
 
     def test_unknown_route_is_404(self, server):
+        before = server.server.metrics.errors_total
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/nope")
         assert excinfo.value.code == 404
+        assert server.server.metrics.errors_total == before + 1
 
 
 class TestHotReloadThroughServer:

@@ -26,7 +26,7 @@ from repro.wordlength import (
     run_sweep,
     wordlength_sweep,
 )
-from repro.wordlength.engine import _chunk_word_lengths, _point_pipeline_config
+from repro.wordlength.engine import _point_pipeline_config
 
 
 def assert_points_identical(reference, candidate):
@@ -42,7 +42,7 @@ def assert_points_identical(reference, candidate):
 @pytest.fixture(scope="module")
 def exact_config():
     # relative_gap=0 forces every point to close its gap exactly, so the
-    # seeded/parallel runs cannot legally stop at a different (equally
+    # seeded runs cannot legally stop at a different (equally
     # gap-certified) incumbent than the reference.
     return PipelineConfig(
         method="lda-fp",
@@ -75,26 +75,14 @@ class TestDifferentialIdentity:
             small_test,
             (4, 5),
             pipeline_config=exact_config,
-            sweep_config=SweepConfig(workers=1, seed_incumbents=True),
+            sweep_config=SweepConfig(seed_incumbents=True),
         )
         assert_points_identical(reference, seeded)
 
-    def test_parallel_seeded_matches_reference(
-        self, exact_config, small_train, small_test, reference
-    ):
-        parallel = run_sweep(
-            small_train,
-            small_test,
-            (4, 5),
-            pipeline_config=exact_config,
-            sweep_config=SweepConfig(workers=2, seed_incumbents=True),
-        )
-        assert_points_identical(reference, parallel)
-
-    def test_ecg_parallel_seeded_matches_reference(self):
+    def test_ecg_seeded_matches_reference(self):
         # The ECG fixture exercises the identity on an 8-feature problem in
         # the early-exit regime (warm start provably optimal within the
-        # default gaps), where every engine mode must agree exactly.
+        # default gaps), where seeded and unseeded sweeps must agree exactly.
         train = make_ecg_dataset(60, seed=0)
         test = make_ecg_dataset(80, seed=1)
         config = PipelineConfig(
@@ -103,31 +91,15 @@ class TestDifferentialIdentity:
         reference = wordlength_sweep(
             train, test, (7, 8, 9), pipeline_config=config
         )
-        parallel = run_sweep(
+        seeded = run_sweep(
             train,
             test,
             (7, 8, 9),
             pipeline_config=config,
-            sweep_config=SweepConfig(workers=2, seed_incumbents=True),
+            sweep_config=SweepConfig(seed_incumbents=True),
         )
-        assert_points_identical(reference, parallel)
+        assert_points_identical(reference, seeded)
         assert all(p.stop_reason == "gap" for p in reference)
-
-    def test_lda_parallel_matches_serial(self, small_train, small_test):
-        config = PipelineConfig(method="lda", lda_shrinkage=0.0)
-        serial = wordlength_sweep(
-            small_train, small_test, (6, 8, 10, 12), pipeline_config=config
-        )
-        parallel = run_sweep(
-            small_train,
-            small_test,
-            (6, 8, 10, 12),
-            pipeline_config=config,
-            sweep_config=SweepConfig(workers=2, seed_incumbents=True),
-        )
-        assert json.dumps([p.canonical() for p in serial]) == json.dumps(
-            [p.canonical() for p in parallel]
-        )
 
 
 def _scaled_fixture(train, word_length, config):
@@ -251,7 +223,7 @@ class TestSweepTrace:
             test,
             (7, 8),
             pipeline_config=config,
-            sweep_config=SweepConfig(workers=1, seed_incumbents=True),
+            sweep_config=SweepConfig(seed_incumbents=True),
             sweep_trace=trace,
         )
         return points, trace
@@ -266,8 +238,8 @@ class TestSweepTrace:
 
     def test_schedule_metadata(self, traced):
         _, trace = traced
-        assert trace.meta["workers"] == 1
-        assert trace.meta["chunks"] == [[7, 8]]
+        assert "workers" not in trace.meta
+        assert "chunks" not in trace.meta
         assert trace.meta["seed_incumbents"] is True
         assert trace.records[0].seeded is False
         assert trace.records[1].seeded is True
@@ -299,7 +271,7 @@ class TestSweepTrace:
 
 def _point_entry(**overrides) -> dict:
     entry = {
-        "word_length": 6, "chunk": 0, "index_in_chunk": 0, "seeded": False,
+        "word_length": 6, "seeded": False,
         "seeds_injected": 0, "seeds_rejected": 0, "seeds_adopted": 0,
         "cost": 0.5, "test_error": 0.1, "train_seconds": 0.2,
         "proven_optimal": True, "stop_reason": "exhausted", "solver": None,
@@ -321,8 +293,8 @@ class TestSweepTraceValidation:
 
     def test_missing_key_named(self):
         entry = _point_entry()
-        del entry["chunk"]
-        with pytest.raises(InputValidationError, match="missing key 'chunk'"):
+        del entry["seeded"]
+        with pytest.raises(InputValidationError, match="missing key 'seeded'"):
             SweepTrace.from_json(_sweep_json(entry))
 
     def test_non_object_point_rejected(self):
@@ -331,11 +303,21 @@ class TestSweepTraceValidation:
 
     def test_old_format_point_loads(self):
         """Points written while the solver had a parallel frontier carry
-        two executor keys; they are dropped on read."""
-        old = _point_entry(solver_executor="serial", solver_executor_fallback="")
+        two executor keys, and points written while the sweep had a
+        parallel pool carry the chunk they were solved in; all four are
+        dropped on read."""
+        old = _point_entry(
+            solver_executor="serial",
+            solver_executor_fallback="",
+            chunk=1,
+            index_in_chunk=0,
+        )
         trace = SweepTrace.from_json(_sweep_json(old))
         assert trace.records[0].word_length == 6
-        assert "solver_executor" not in json.loads(trace.to_json())["points"][0]
+        point = json.loads(trace.to_json())["points"][0]
+        for key in ("solver_executor", "solver_executor_fallback"):
+            assert key not in point
+        assert "chunk" not in point and "index_in_chunk" not in point
 
 
 class TestEngineValidation:
@@ -343,20 +325,9 @@ class TestEngineValidation:
         with pytest.raises(DataError):
             run_sweep(small_train, small_train, ())
 
-    def test_trace_factory_requires_serial(self, small_train):
-        with pytest.raises(InputValidationError):
-            run_sweep(
-                small_train,
-                small_train,
-                (6, 8),
-                sweep_config=SweepConfig(workers=2),
-                trace_factory=lambda wl: None,
-            )
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": 0},
             {"point_time_limit": 0.0},
             {"point_time_limit": -1.0},
             {"point_time_limit": {6: 0.0}},
@@ -365,14 +336,6 @@ class TestEngineValidation:
     def test_bad_sweep_config_rejected(self, kwargs):
         with pytest.raises(InputValidationError):
             SweepConfig(**kwargs)
-
-    def test_chunking_is_contiguous_and_balanced(self):
-        assert _chunk_word_lengths((4, 5, 6, 7, 8), 2) == [[4, 5, 6], [7, 8]]
-        assert _chunk_word_lengths((4, 5, 6), 1) == [[4, 5, 6]]
-        assert _chunk_word_lengths((4, 5), 8) == [[4], [5]]
-        chunks = _chunk_word_lengths(tuple(range(4, 14)), 3)
-        assert [wl for chunk in chunks for wl in chunk] == list(range(4, 14))
-        assert max(len(c) for c in chunks) - min(len(c) for c in chunks) <= 1
 
     def test_point_time_limit_clamps_not_extends(self):
         base = PipelineConfig(

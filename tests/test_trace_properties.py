@@ -32,7 +32,6 @@ instances = st.fixed_dictionaries(
     {
         "seed": st.integers(min_value=0, max_value=10**6),
         "ndim": st.integers(min_value=1, max_value=3),
-        "strategy": st.sampled_from(["best-first", "depth-first"]),
         "max_nodes": st.sampled_from([5, 50, 10**6]),
     }
 )
@@ -43,10 +42,7 @@ def _solve(params) -> "tuple[SolverTrace, object]":
     target = rng.uniform(-0.9, 0.9, size=params["ndim"])
     step = float(rng.choice([0.25, 0.125]))
     problem = QuadraticGridProblem(target, -1.0, 1.0, step)
-    config = BranchAndBoundConfig(
-        strategy=params["strategy"],
-        max_nodes=params["max_nodes"],
-    )
+    config = BranchAndBoundConfig(max_nodes=params["max_nodes"])
     trace = SolverTrace()
     result = BranchAndBoundSolver(config).solve(problem, trace=trace)
     return trace, result
@@ -104,7 +100,7 @@ class TestTelemetryInvariants:
 
     def test_events_sequenced_and_timestamped(self):
         trace, _ = _solve(
-            {"seed": 0, "ndim": 2, "strategy": "best-first", "max_nodes": 10**6}
+            {"seed": 0, "ndim": 2, "max_nodes": 10**6}
         )
         seqs = [e.seq for e in trace.events]
         assert seqs == list(range(len(trace.events)))
