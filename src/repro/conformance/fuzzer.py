@@ -20,10 +20,11 @@ when a wall-clock budget truncates late oracles mid-stream.
 
 The module also hosts the **mutation selftest** (``repro fuzz
 --selftest``): it patches a deliberate off-by-one into the reference
-datapath (and, where a C compiler exists, into the *emitted C* of the
-native backend), asserts the matching oracle catches it and yields a
-witness, asserts ``--replay`` reproduces the discrepancy under the
-mutation, and asserts the same witness passes on the unmutated tree.
+datapath, into the vectorized fixed-point FIR kernel and, where a C
+compiler exists, into the *emitted C* of the native backend, asserts the
+matching oracle catches it and yields a witness, asserts ``--replay``
+reproduces the discrepancy under the mutation, and asserts the same
+witness passes on the unmutated tree.
 A fuzzer that cannot detect a seeded bug is worse than no fuzzer — this
 proves detection end to end on every CI run.
 """
@@ -54,6 +55,7 @@ __all__ = [
     "replay_witness",
     "injected_datapath_mutation",
     "injected_cgen_mutation",
+    "injected_fxfir_mutation",
     "run_selftest",
 ]
 
@@ -269,6 +271,30 @@ def injected_cgen_mutation() -> Iterator[None]:
         cgen.generate_batch_kernel_c = original  # type: ignore[assignment]
 
 
+@contextmanager
+def injected_fxfir_mutation() -> Iterator[None]:
+    """Deliberately break the vectorized FIR kernel (off-by-one output).
+
+    Patches :meth:`repro.signal.stream.FixedPointFirStream.process` to add
+    one LSB to every output word.  :meth:`FixedPointFir.apply` runs the
+    same kernel, so only the per-sample reference the ``stream_vs_batch``
+    oracle holds both to can catch it — proving that arm is not vacuous.
+    Selftest use only.
+    """
+    from ..signal.stream import FixedPointFirStream
+
+    original = FixedPointFirStream.process
+
+    def mutated(self, chunk):  # type: ignore[no-untyped-def]
+        return original(self, chunk) + self.fir.fmt.resolution
+
+    FixedPointFirStream.process = mutated  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        FixedPointFirStream.process = original  # type: ignore[method-assign]
+
+
 def _selftest_round(
     label: str,
     oracle_name: str,
@@ -335,12 +361,14 @@ def run_selftest(
 ) -> int:
     """Prove end-to-end bug detection with injected mutations.
 
-    Two rounds, each detect → replay → clean-pass (see
+    Three rounds, each detect → replay → clean-pass (see
     :func:`_selftest_round`): an off-by-one patched into the reference
-    *datapath* (caught by ``engine-datapath``), and an off-by-one patched
-    into the *emitted C* (caught by ``native_vs_fast``).  The C round is
-    skipped — with a notice — on hosts without a C compiler, where the
-    native backend cannot exist.  Returns 0 only when every round holds.
+    *datapath* (caught by ``engine-datapath``), an off-by-one patched into
+    the *emitted C* (caught by ``native_vs_fast``), and an off-by-one
+    patched into the vectorized *FIR kernel* (caught by
+    ``stream_vs_batch``).  The C round is skipped — with a notice — on
+    hosts without a C compiler, where the native backend cannot exist.
+    Returns 0 only when every round holds.
     """
     code = _selftest_round(
         "datapath",
@@ -371,6 +399,17 @@ def run_selftest(
             return code
     else:
         emit("selftest: no C compiler — skipping the cgen-mutation round")
+    code = _selftest_round(
+        "fxfir",
+        "stream_vs_batch",
+        injected_fxfir_mutation,
+        seed,
+        None,
+        emit,
+        max_examples=25,
+    )
+    if code != 0:
+        return code
     emit("selftest: ok")
     return 0
 

@@ -22,11 +22,16 @@ Registry: :data:`ALL_ORACLES` (ordered cheap-to-expensive) and
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 from hypothesis import strategies as st
 
 from ..errors import CheckError, InputValidationError
 from . import strategies as cst
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..signal.fxfir import FixedPointFir
 
 __all__ = [
     "Oracle",
@@ -34,6 +39,7 @@ __all__ = [
     "ALL_ORACLES",
     "ORACLES",
     "get_oracle",
+    "fxfir_reference",
 ]
 
 
@@ -578,15 +584,54 @@ class WireRoundtripOracle(Oracle):
             self.fail("response overflow counters changed in transit", case)
 
 
+def fxfir_reference(fir: "FixedPointFir", signal: np.ndarray) -> np.ndarray:
+    """The fixed-point FIR one output and one tap at a time.
+
+    The reference the vectorized kernel behind
+    :meth:`~repro.signal.fxfir.FixedPointFir.apply` and its stepper is held
+    to: per output, products of the taps with the samples seen so far
+    (pre-signal terms skipped), each narrowed to ``fmt`` with the filter's
+    rounding and added into the guarded accumulator with a wrap after every
+    add, then the sum saturated into ``fmt``.  Python ints throughout, so it
+    is exact at every word length.
+    """
+    from ..fixedpoint.overflow import OverflowMode, apply_overflow_raw
+    from ..fixedpoint.quantize import quantize_raw
+    from ..fixedpoint.rounding import shift_right_rounded
+
+    fmt = fir.fmt
+    acc_fmt = fir.accumulator_format
+    x_raws = np.asarray(
+        quantize_raw(
+            np.asarray(signal, dtype=np.float64), fmt,
+            rounding=fir.rounding, overflow=OverflowMode.SATURATE,
+        ),
+        dtype=np.int64,
+    )
+    taps = fir.tap_raws
+    n, m = x_raws.size, taps.size
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        acc = 0
+        for j in range(min(m, i + 1)):
+            full = int(taps[j]) * int(x_raws[i - j])
+            product = shift_right_rounded(full, fmt.fraction_bits, fir.rounding)
+            acc = int(apply_overflow_raw(acc + product, acc_fmt, OverflowMode.WRAP))
+        out[i] = int(apply_overflow_raw(acc, fmt, OverflowMode.SATURATE))
+    return out.astype(np.float64) * fmt.resolution
+
+
 # --------------------------------------------------------------------- #
 # 7b. Chunked streaming vs one-shot batch processing
 # --------------------------------------------------------------------- #
 class StreamVsBatchOracle(Oracle):
     """Arbitrary chunk partitions of a waveform through the stateful
     steppers (:mod:`repro.signal.stream`) must be **bit-identical** to the
-    one-shot calls on the concatenated signal: fixed-point FIR, fixed-point
-    biquad, the float biquad cascade (power-line notch), the exactly-
-    rounded float FIR, the decimator, and the hop-strided windower.  The
+    one-shot calls on the concatenated signal: fixed-point biquad, the
+    float biquad cascade (power-line notch), the exactly-rounded float FIR,
+    the decimator, and the hop-strided windower.  The fixed-point FIR's
+    one-shot call *is* its stepper, so both are held to the per-sample
+    :func:`fxfir_reference` instead.  The
     second case family replays interleaved serving-plane sessions through
     one :class:`~repro.serve.stream.StreamManager` and requires every
     session's windows/features/raws/labels to match
@@ -596,7 +641,8 @@ class StreamVsBatchOracle(Oracle):
     name = "stream_vs_batch"
     description = (
         "signal.stream chunked steppers + serve.stream sessions vs the "
-        "one-shot fxfir/fxbiquad/preprocess/windowing pipeline, bit for bit"
+        "per-sample fxfir reference and the one-shot fxbiquad/preprocess/"
+        "windowing pipeline, bit for bit"
     )
     default_examples = 25
 
@@ -647,13 +693,17 @@ class StreamVsBatchOracle(Oracle):
         def run_chunked(stream) -> np.ndarray:
             return np.concatenate([stream.process(c) for c in chunks])
 
-        # 1. Fixed-point FIR: raw delay line vs the one-shot skip loop.
+        # 1. Fixed-point FIR: the vectorized kernel, chunked and one-shot,
+        #    vs the per-sample, per-tap reference loop.
         fxfir = FixedPointFir(
             taps=taps, fmt=fmt, guard_bits=int(case["guard_bits"]),
             rounding=rounding,
         )
-        if not np.array_equal(run_chunked(fxfir.stream()), fxfir.apply(signal)):
-            self.fail("fxfir chunked stream != one-shot apply", case)
+        want = fxfir_reference(fxfir, signal)
+        if not np.array_equal(run_chunked(fxfir.stream()), want):
+            self.fail("fxfir chunked stream != per-sample reference", case)
+        if not np.array_equal(fxfir.apply(signal), want):
+            self.fail("fxfir one-shot apply != per-sample reference", case)
 
         # 2. Fixed-point biquad (notch section).  Quantization may
         #    destabilize the section at narrow formats; the constructor

@@ -371,21 +371,33 @@ def waveform_cases(
     """Waveform + chunk-partition cases for the ``stream_vs_batch`` oracle.
 
     One case drives *every* stateful stepper in :mod:`repro.signal.stream`
-    against its one-shot reference on the same samples: the fixed-point
-    FIR and biquad, the float FIR / biquad cascade (power-line notch), the
-    decimator, and the hop-strided windower.  Everything is plain JSON so
+    against its reference on the same samples: the fixed-point FIR (the
+    per-sample loop) and biquad, the float FIR / biquad cascade (power-line
+    notch), the decimator, and the hop-strided windower.  Everything is plain JSON so
     a shrunk failing partition replays from a witness file.
     """
     n = draw(st.integers(min_value=min_samples, max_value=max_samples))
-    k = draw(st.integers(min_value=2, max_value=5))
-    f = draw(st.integers(min_value=3, max_value=7))
+    # Narrow formats, plus wide ones (W 28..44) straddling the FIR
+    # kernel's int64 rule, 2W + ceil(log2 taps) <= 63, so both of its
+    # dtypes are fuzzed.  Wide formats draw samples up to full scale, so
+    # their products really exceed int64.
+    k, f, amplitude = draw(
+        st.one_of(
+            st.tuples(st.integers(2, 5), st.integers(3, 7), st.just(8.0)),
+            st.integers(8, 16).flatmap(
+                lambda k: st.tuples(
+                    st.just(k), st.integers(20, 28), st.just(2.0 ** (k - 1))
+                )
+            ),
+        )
+    )
     fmt = QFormat(k, f)
     num_taps = draw(st.integers(min_value=1, max_value=7)) * 2 + 1  # odd 3..15
     sample_rate = draw(st.sampled_from([200.0, 250.0, 360.0, 500.0]))
     return {
         "kind": "waveform",
         "samples": draw(
-            st.lists(finite_floats(8.0), min_size=n, max_size=n)
+            st.lists(finite_floats(amplitude), min_size=n, max_size=n)
         ),
         "chunk_sizes": draw(_chunk_partitions(n)),
         "integer_bits": k,

@@ -6,6 +6,9 @@ Public surface:
 - :class:`RoundingMode`, :class:`OverflowMode` — hardware policies.
 - :func:`quantize` / :func:`quantize_raw` / :func:`dequantize_raw` —
   vectorized grid snapping.
+- :func:`shift_right_rounded_array`, :func:`int64_path_available` — the
+  exact vectorized narrowing shared by the serving engine and the
+  fixed-point FIR, and the rule choosing their int64 or object dtype.
 - :class:`Fx` — scalar fixed-point number (reference semantics).
 - :class:`FixedPointDatapath` — bit-accurate MAC/classifier simulator.
 - :func:`analyze_quantization`, :func:`greedy_wordlength_allocation` —
@@ -26,7 +29,7 @@ from .allocation import (
 from .datapath import DatapathConfig, DatapathTrace, FixedPointDatapath
 from .number import Fx
 from .overflow import OverflowMode, apply_overflow_raw
-from .qformat import QFormat
+from .qformat import QFormat, int64_path_available
 from .quantize import (
     dequantize_raw,
     nearest_grid_neighbors,
@@ -34,7 +37,12 @@ from .quantize import (
     quantize,
     quantize_raw,
 )
-from .rounding import RoundingMode, round_to_int, shift_right_rounded
+from .rounding import (
+    RoundingMode,
+    round_to_int,
+    shift_right_rounded,
+    shift_right_rounded_array,
+)
 
 __all__ = [
     "QFormat",
@@ -53,6 +61,8 @@ __all__ = [
     "nearest_grid_neighbors",
     "round_to_int",
     "shift_right_rounded",
+    "shift_right_rounded_array",
+    "int64_path_available",
     "apply_overflow_raw",
     "analyze_quantization",
     "required_integer_bits",

@@ -15,6 +15,7 @@ quantization and :mod:`repro.fixedpoint.number` for scalar arithmetic.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -22,9 +23,12 @@ import numpy as np
 
 from ..errors import QFormatError
 
-__all__ = ["QFormat"]
+__all__ = ["QFormat", "int64_path_available"]
 
 _QFORMAT_RE = re.compile(r"^Q(?P<k>\d+)\.(?P<f>\d+)$")
+
+# numpy int64 carries 63 magnitude bits plus sign.
+_INT64_MAGNITUDE_BITS = 63
 
 # Guard against absurd formats that would overflow exact integer arithmetic
 # or allocate astronomically large enumerations by accident.
@@ -264,3 +268,17 @@ class QFormat:
 
     def __repr__(self) -> str:
         return f"QFormat(integer_bits={self.integer_bits}, fraction_bits={self.fraction_bits})"
+
+
+def int64_path_available(fmt: QFormat, num_terms: int) -> bool:
+    """True when int64 arithmetic is exact for sums of ``num_terms`` products.
+
+    The widest intermediate is a full-precision product of two ``fmt``
+    words (``2 * (K + F)`` bits); summing ``M`` of them adds at most
+    ``ceil(log2(M))`` carry bits.  The int64 path is exact iff the total
+    fits in 63 magnitude bits.  This is the rule behind the serving
+    engine's fast path (``M`` features) and the fixed-point FIR kernel
+    (``M`` taps).
+    """
+    carry_bits = math.ceil(math.log2(max(int(num_terms), 2)))
+    return 2 * fmt.word_length + carry_bits <= _INT64_MAGNITUDE_BITS

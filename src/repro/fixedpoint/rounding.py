@@ -23,6 +23,7 @@ __all__ = [
     "RoundingMode",
     "round_to_int",
     "shift_right_rounded",
+    "shift_right_rounded_array",
     "float_to_int_exact",
     "ROUNDERS",
 ]
@@ -207,4 +208,38 @@ def shift_right_rounded(
         if rem < half:
             return floor_q
         return floor_q + (floor_q & 1)
+    raise InputValidationError(f"unsupported mode for exact shift: {mode}")
+
+
+def shift_right_rounded_array(
+    raws: np.ndarray, shift: int, mode: "RoundingMode | str" = RoundingMode.NEAREST_AWAY
+) -> np.ndarray:
+    """Vectorized exact ``raws / 2**shift`` rounding, dtype-generic.
+
+    Mirrors :func:`shift_right_rounded` case by case; uses floor division
+    and remainder (Python semantics on both int64 and object dtypes) so one
+    body serves the int64 fast paths and the object-dtype wide-format paths
+    of the serving engine and the fixed-point FIR.  Exact as long as
+    ``raws`` itself is: the caller picks int64 only when every word fits
+    (see :func:`repro.fixedpoint.qformat.int64_path_available`).
+    """
+    mode = RoundingMode.coerce(mode)
+    if shift < 0:
+        raise InputValidationError(f"shift must be >= 0, got {shift}")
+    if shift == 0:
+        return raws
+    div = 1 << shift
+    floor_q = raws // div
+    rem = raws - floor_q * div  # non-negative: floor division rounds to -inf
+    if mode is RoundingMode.FLOOR:
+        return floor_q
+    if mode is RoundingMode.CEIL:
+        return floor_q + (rem != 0)
+    if mode is RoundingMode.TOWARD_ZERO:
+        return floor_q + ((rem != 0) & (raws < 0))
+    half = div >> 1
+    if mode is RoundingMode.NEAREST_AWAY:
+        return floor_q + ((rem > half) | ((rem == half) & (raws >= 0)))
+    if mode is RoundingMode.NEAREST_EVEN:
+        return floor_q + np.where(rem == half, floor_q & 1, rem > half)
     raise InputValidationError(f"unsupported mode for exact shift: {mode}")

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..fixedpoint.overflow import OverflowMode, apply_overflow_raw
 from ..fixedpoint.qformat import QFormat
 from ..fixedpoint.quantize import quantize_raw
-from ..fixedpoint.rounding import RoundingMode, shift_right_rounded
+from ..fixedpoint.rounding import RoundingMode
 from .filters import Biquad
 
 __all__ = ["FixedPointBiquad", "quantized_poles", "is_stable_after_quantization"]
@@ -113,38 +112,13 @@ class FixedPointBiquad:
         Direct form I with saturating state: ``y[n] = b0 x[n] + b1 x[n-1] +
         b2 x[n-2] - a1 y[n-1] - a2 y[n-2]``, every product narrowed to
         ``fmt`` and the output saturated (wrapping feedback would inject
-        full-scale errors into the recursion).
+        full-scale errors into the recursion).  This is the stepper
+        (:meth:`stream`) run over the whole signal.
         """
         x = np.asarray(signal, dtype=np.float64)
         if x.ndim != 1:
             raise DataError(f"signal must be 1-D, got shape {x.shape}")
-        fmt = self.fmt
-        raw = self._raw
-        x_raws = np.asarray(
-            quantize_raw(x, fmt, rounding=self.rounding, overflow=OverflowMode.SATURATE),
-            dtype=np.int64,
-        )
-        out = np.empty(x_raws.size, dtype=np.int64)
-        x1 = x2 = y1 = y2 = 0
-
-        def mul(coeff_raw: int, value_raw: int) -> int:
-            return shift_right_rounded(
-                coeff_raw * value_raw, fmt.fraction_bits, self.rounding
-            )
-
-        for i, x0 in enumerate(x_raws.tolist()):
-            acc = (
-                mul(raw["b0"], x0)
-                + mul(raw["b1"], x1)
-                + mul(raw["b2"], x2)
-                - mul(raw["a1"], y1)
-                - mul(raw["a2"], y2)
-            )
-            y0 = int(apply_overflow_raw(acc, fmt, OverflowMode.SATURATE))
-            out[i] = y0
-            x2, x1 = x1, x0
-            y2, y1 = y1, y0
-        return out.astype(np.float64) * fmt.resolution
+        return self.stream().process(x)
 
     def reference_apply(self, signal: np.ndarray) -> np.ndarray:
         """Float filtering with the quantized coefficients (no datapath
@@ -152,7 +126,7 @@ class FixedPointBiquad:
         return self.quantized_section.apply(np.asarray(signal, dtype=np.float64))
 
     def stream(self):
-        """A stateful stepper over this section, bit-exact with :meth:`apply`.
+        """A stateful stepper over this section: the direct-form-I loop.
 
         See :class:`repro.signal.stream.FixedPointBiquadStream`.
         """

@@ -9,6 +9,12 @@ products narrowed back to ``QK.F`` with the configured rounding, and a
 **wide accumulator** (the standard FIR datapath choice — unlike the
 classifier's single-format accumulator, FIR accumulators conventionally
 carry guard bits, and we model ``guard_bits`` explicitly).
+
+The one-shot :meth:`FixedPointFir.apply` and the chunked stepper
+(:meth:`FixedPointFir.stream`) run one vectorized kernel,
+:class:`repro.signal.stream.FixedPointFirStream`, held bit for bit to the
+per-sample, per-tap loop kept as
+:func:`repro.conformance.oracles.fxfir_reference`.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..fixedpoint.overflow import OverflowMode, apply_overflow_raw
+from ..fixedpoint.overflow import OverflowMode
 from ..fixedpoint.qformat import QFormat
 from ..fixedpoint.quantize import quantize_raw
-from ..fixedpoint.rounding import RoundingMode, shift_right_rounded
+from ..fixedpoint.rounding import RoundingMode
 
 __all__ = ["FixedPointFir"]
 
@@ -99,31 +105,14 @@ class FixedPointFir:
         The input is quantized to ``fmt`` first (saturating), products are
         narrowed to ``fmt``'s fraction with the configured rounding, the
         accumulation runs in the guarded accumulator format with wrapping,
-        and the final value is saturated back into ``fmt``.
+        and the final value is saturated back into ``fmt``.  This is the
+        stepper (:meth:`stream`) run over the whole signal, so the one-shot
+        and chunked filters share one kernel.
         """
         x = np.asarray(signal, dtype=np.float64)
         if x.ndim != 1:
             raise DataError(f"signal must be 1-D, got shape {x.shape}")
-        fmt = self.fmt
-        acc_fmt = self.accumulator_format
-        x_raws = np.asarray(
-            quantize_raw(
-                x, fmt, rounding=self.rounding, overflow=OverflowMode.SATURATE
-            ),
-            dtype=np.int64,
-        )
-        taps = self._tap_raws
-        n, m = x_raws.size, taps.size
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            acc = 0
-            upper = min(m, i + 1)
-            for j in range(upper):
-                full = int(taps[j]) * int(x_raws[i - j])
-                product = shift_right_rounded(full, fmt.fraction_bits, self.rounding)
-                acc = int(apply_overflow_raw(acc + product, acc_fmt, OverflowMode.WRAP))
-            out[i] = int(apply_overflow_raw(acc, fmt, OverflowMode.SATURATE))
-        return out.astype(np.float64) * fmt.resolution
+        return self.stream().process(x)
 
     def reference_apply(self, signal: np.ndarray) -> np.ndarray:
         """Float filtering with the quantized coefficients (no datapath
@@ -132,7 +121,7 @@ class FixedPointFir:
         return np.convolve(x, self.quantized_taps)[: x.size]
 
     def stream(self):
-        """A stateful stepper over this filter, bit-exact with :meth:`apply`.
+        """A stateful stepper over this filter: the fixed-point FIR kernel.
 
         See :class:`repro.signal.stream.FixedPointFirStream`.
         """

@@ -13,14 +13,19 @@ holds **bit for bit** for every partition of the signal.  The
 ``stream_vs_batch`` conformance oracle (:mod:`repro.conformance.oracles`)
 fuzzes this equality; the proofs are simple:
 
-- **Fixed-point FIR** — the one-shot loop skips products of samples before
-  the signal start; the stream seeds its raw delay line with zeros instead.
-  A zero raw's product narrows to exactly 0 and adding 0 to an in-range
-  accumulator (then wrapping) is the identity, so the accumulator sequences
-  coincide.
-- **Fixed-point / float biquads** — the one-shot loops are already
-  sequential recurrences; carrying their registers across chunks changes
-  nothing.
+- **Fixed-point FIR** — the one-shot call *is* this stepper over the whole
+  signal, and the oracle holds both to the per-sample, per-tap reference
+  loop (:func:`repro.conformance.oracles.fxfir_reference`), which skips
+  products of samples before the signal start and wraps after every add.
+  The stepper seeds its raw delay line with zeros instead: a zero raw's
+  product narrows to exactly 0, so it adds nothing to the exact sum.  And
+  it wraps once at the end: WRAP is reduction modulo the accumulator's
+  ``2**(K + guard_bits + F)``, so wrapping after every add equals one
+  wrap of the exact sum.  Each output therefore depends only on its
+  window of inputs, whatever the chunk boundaries.
+- **Fixed-point / float biquads** — the one-shot calls are the steppers
+  over the whole signal (fixed point) or already sequential recurrences
+  (float); carrying their registers across chunks changes nothing.
 - **Float FIR / decimation** — per-output sums are *exactly rounded*
   (:func:`~repro.signal.filters.fir_direct`), so they depend only on the
   window contents, never on chunk boundaries, summation order, or buffer
@@ -37,8 +42,9 @@ import numpy as np
 
 from ..errors import InputValidationError
 from ..fixedpoint.overflow import OverflowMode, apply_overflow_raw
+from ..fixedpoint.qformat import int64_path_available
 from ..fixedpoint.quantize import quantize_raw
-from ..fixedpoint.rounding import shift_right_rounded
+from ..fixedpoint.rounding import shift_right_rounded, shift_right_rounded_array
 from .filters import Biquad
 from .fxbiquad import FixedPointBiquad
 from .fxfir import FixedPointFir
@@ -57,6 +63,9 @@ __all__ = [
 ]
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _chunk_1d(chunk: np.ndarray) -> np.ndarray:
     x = np.asarray(chunk, dtype=np.float64)
     if x.ndim != 1:
@@ -65,17 +74,35 @@ def _chunk_1d(chunk: np.ndarray) -> np.ndarray:
 
 
 class FixedPointFirStream:
-    """Incremental :meth:`FixedPointFir.apply`, bit-exact per chunk.
+    """Incremental :meth:`FixedPointFir.apply` — the fixed-point FIR kernel.
 
-    Carries the last ``num_taps - 1`` quantized input words; the stream of
-    outputs equals the one-shot call on the concatenated input exactly
-    (raw words and therefore the float grid values).
+    Carries the last ``num_taps - 1`` quantized input words, so the stream
+    of outputs is the same for every chunk partition of the input (raw
+    words and therefore the float grid values); the one-shot call is this
+    stepper over the whole signal.
+
+    The kernel is tap-major over ``ext = [history, chunk]``: for each tap
+    ``j`` it multiplies the tap by the whole slice of inputs ``j`` samples
+    back, narrows the products with one vectorized exact shift and adds
+    them into an accumulator array; at the end it wraps once into the
+    accumulator format and saturates to ``fmt``.  WRAP is reduction modulo
+    ``2**(K + guard_bits + F)``, so wrapping after every add (the hardware
+    adder chain) equals one wrap of the exact sum.  The words run on int64
+    when every intermediate fits (:func:`~repro.fixedpoint.qformat
+    .int64_path_available` over the taps, plus an int64 accumulator
+    modulus), else on object dtype through the same expressions.
     """
 
     def __init__(self, fir: FixedPointFir) -> None:
         self.fir = fir
         m = int(fir.tap_raws.size)
-        self._history = np.zeros(max(m - 1, 0), dtype=np.int64)
+        self._modulus = fir.accumulator_format.modulus
+        exact_in_int64 = (
+            int64_path_available(fir.fmt, m) and self._modulus <= _INT64_MAX
+        )
+        self._dtype = np.int64 if exact_in_int64 else object
+        self._taps = fir.tap_raws.tolist()
+        self._history = np.zeros(max(m - 1, 0), dtype=self._dtype)
         self.samples_in = 0
 
     def process(self, chunk: np.ndarray) -> np.ndarray:
@@ -83,37 +110,40 @@ class FixedPointFirStream:
         x = _chunk_1d(chunk)
         fir = self.fir
         fmt = fir.fmt
-        acc_fmt = fir.accumulator_format
         x_raws = np.asarray(
             quantize_raw(
                 x, fmt, rounding=fir.rounding, overflow=OverflowMode.SATURATE
             ),
             dtype=np.int64,
         )
-        taps = fir.tap_raws
-        m = taps.size
-        ext = np.concatenate([self._history, x_raws])
-        out = np.empty(x_raws.size, dtype=np.int64)
-        for i in range(x_raws.size):
-            # Window ext[i : i + m] holds x[n - m + 1 .. n] for output n;
-            # the zero-seeded history contributes exact-zero products, so
-            # this accumulator sequence matches the one-shot loop that
-            # simply skips pre-signal terms.
-            acc = 0
-            base = i + m - 1
-            for j in range(m):
-                full = int(taps[j]) * int(ext[base - j])
-                product = shift_right_rounded(full, fmt.fraction_bits, fir.rounding)
-                acc = int(apply_overflow_raw(acc + product, acc_fmt, OverflowMode.WRAP))
-            out[i] = int(apply_overflow_raw(acc, fmt, OverflowMode.SATURATE))
+        n, m = x_raws.size, len(self._taps)
+        ext = np.concatenate(
+            [self._history, x_raws.astype(self._dtype, copy=False)]
+        )
+        acc = np.zeros(n, dtype=self._dtype)
+        for j, tap in enumerate(self._taps):
+            # ext[m - 1 - j + i] is the input j samples before output i; the
+            # zero-seeded history contributes exact-zero products.
+            start = m - 1 - j
+            acc += shift_right_rounded_array(
+                tap * ext[start : start + n], fmt.fraction_bits, fir.rounding
+            )
+        half = self._modulus >> 1
+        acc = (acc + half) % self._modulus - half
+        out = apply_overflow_raw(acc, fmt, OverflowMode.SATURATE)
         if m > 1:
             self._history = ext[-(m - 1):].copy()
-        self.samples_in += int(x_raws.size)
+        self.samples_in += n
         return out.astype(np.float64) * fmt.resolution
 
 
 class FixedPointBiquadStream:
-    """Incremental :meth:`FixedPointBiquad.apply` (direct form I registers)."""
+    """Incremental :meth:`FixedPointBiquad.apply` (direct form I registers).
+
+    The one-shot call is this stepper over the whole signal.  The
+    saturating recurrence feeds each output back into the next, so the loop
+    stays scalar.
+    """
 
     def __init__(self, biquad: FixedPointBiquad) -> None:
         self.biquad = biquad

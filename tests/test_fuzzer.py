@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -11,6 +12,7 @@ from repro.conformance.fuzzer import (
     WITNESS_SCHEMA,
     fuzz_oracle,
     injected_datapath_mutation,
+    injected_fxfir_mutation,
     load_witness,
     parse_budget,
     replay_witness,
@@ -20,6 +22,8 @@ from repro.conformance.fuzzer import (
 )
 from repro.conformance.oracles import get_oracle
 from repro.errors import DataError, InputValidationError
+from repro.fixedpoint.qformat import QFormat
+from repro.signal.fxfir import FixedPointFir
 
 
 class TestParseBudget:
@@ -118,6 +122,23 @@ class TestSelftest:
         lines: list[str] = []
         assert run_selftest(seed=0, emit=lines.append) == 0
         assert lines[-1] == "selftest: ok"
+        assert "selftest: fxfir witness reproduces under the mutation" in lines
+        assert "selftest: fxfir witness passes on the clean tree" in lines
+
+    def test_fxfir_mutation_is_only_visible_to_the_reference(self):
+        # apply() runs the stepper, so the mutated kernel still agrees with
+        # itself; stream_vs_batch must catch it through the per-sample
+        # reference.
+        fir = FixedPointFir(taps=np.array([0.5, -0.25, 0.125]), fmt=QFormat(3, 4))
+        x = np.linspace(-2.0, 2.0, 12)
+        with injected_fxfir_mutation():
+            stream = fir.stream()
+            chunked = np.concatenate([stream.process(x[:5]), stream.process(x[5:])])
+            assert np.array_equal(chunked, fir.apply(x))
+            failure = fuzz_oracle(
+                get_oracle("stream_vs_batch"), seed=0, max_examples=25
+            )
+        assert failure is not None and "per-sample reference" in failure.detail
 
     def test_selftest_writes_witness_when_given_path(self, tmp_path):
         path = str(tmp_path / "selftest-witness.json")

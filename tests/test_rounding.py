@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import InputValidationError
 from repro.fixedpoint.rounding import (
     RoundingMode,
     round_to_int,
     shift_right_rounded,
+    shift_right_rounded_array,
 )
+
+EXACT_MODES = [mode for mode in RoundingMode if mode is not RoundingMode.STOCHASTIC]
 
 
 class TestCoerce:
@@ -141,3 +145,34 @@ class TestShiftRightRounded:
         # A value whose float division would lose bits.
         raw = (1 << 60) + 1
         assert shift_right_rounded(raw, 1, RoundingMode.FLOOR) == (raw - 1) // 2
+
+
+class TestShiftRightRoundedArray:
+    @pytest.mark.parametrize("mode", EXACT_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("shift", [0, 1, 3, 7])
+    def test_int64_matches_scalar(self, mode, shift):
+        raws = np.arange(-300, 301, dtype=np.int64)
+        got = shift_right_rounded_array(raws, shift, mode)
+        assert got.dtype == np.int64
+        assert got.tolist() == [shift_right_rounded(r, shift, mode) for r in raws.tolist()]
+
+    @pytest.mark.parametrize("mode", EXACT_MODES, ids=lambda m: m.value)
+    def test_object_matches_scalar_beyond_int64(self, mode):
+        # Half-way, just-off-half and exact multiples around 2**70 and -2**70,
+        # where int64 would overflow and float64 would round.
+        shift = 5
+        base = [k << 70 for k in (-3, -1, 1, 3)]
+        raws = np.array(
+            [b + d for b in base for d in (-17, -16, -15, -1, 0, 1, 15, 16, 17, 32)],
+            dtype=object,
+        )
+        got = shift_right_rounded_array(raws, shift, mode)
+        assert got.tolist() == [shift_right_rounded(r, shift, mode) for r in raws.tolist()]
+
+    def test_stochastic_rejected(self):
+        with pytest.raises(InputValidationError):
+            shift_right_rounded_array(np.arange(4), 2, RoundingMode.STOCHASTIC)
+
+    def test_negative_shift_rejected(self):
+        with pytest.raises(InputValidationError):
+            shift_right_rounded_array(np.arange(4), -1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.conformance.oracles import fxfir_reference
 from repro.errors import DataError, InputValidationError
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.rounding import RoundingMode
@@ -81,19 +82,63 @@ class TestFixedPointFirStream:
             guard_bits=4,
             rounding=rounding,
         )
-        want = fir.apply(signal)
+        want = fxfir_reference(fir, signal)
+        assert np.array_equal(fir.apply(signal), want)
         for sizes in partitions(signal.size):
             assert np.array_equal(chunked(fir.stream(), signal, sizes), want)
 
     def test_zero_guard_bits_wrap_path(self, signal):
-        # guard_bits=0 forces accumulator wraps; the stream must reproduce
-        # the wrapped bits too, not just the easy in-range ones.
+        # guard_bits=0 forces accumulator wraps; the kernel's single wrap
+        # must reproduce the reference's wrap-after-every-add bits.
         fir = FixedPointFir(
             taps=np.full(9, 0.9), fmt=QFormat(2, 5), guard_bits=0
         )
-        want = fir.apply(signal * 2.0)
-        got = chunked(fir.stream(), signal * 2.0, [13] * 7 + [6])
+        x = signal * 2.0
+        exact = np.abs(fir.reference_apply(x))
+        assert np.any(exact > fir.accumulator_format.max_value)
+        want = fxfir_reference(fir, x)
+        assert np.array_equal(fir.apply(x), want)
+        got = chunked(fir.stream(), x, [13] * 7 + [6])
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "fmt,guard_bits,gain",
+        [
+            # 2W + ceil(log2 31) = 85 > 63, and with large taps on a
+            # near-full-scale signal the products really exceed int64.
+            (QFormat(20, 20), 8, 1.5e5),
+            # Products fit int64, but the 64-bit accumulator's modulus
+            # does not.
+            (QFormat(3, 5), 56, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "rounding", [RoundingMode.NEAREST_EVEN, RoundingMode.TOWARD_ZERO]
+    )
+    def test_object_path_matches_reference(self, signal, fmt, guard_bits, gain, rounding):
+        taps = design_fir(31, (1.0, 40.0), kind="bandpass", sample_rate=250.0)
+        fir = FixedPointFir(
+            taps=taps * min(gain, 100.0),
+            fmt=fmt,
+            guard_bits=guard_bits,
+            rounding=rounding,
+        )
+        x = signal * gain
+        want = fxfir_reference(fir, x)
+        assert np.array_equal(fir.apply(x), want)
+        assert np.array_equal(chunked(fir.stream(), x, [40, 1, 56]), want)
+
+    def test_empty_chunk_leaves_state(self, signal):
+        stream = FixedPointFir(
+            taps=np.array([0.5, -0.25, 0.125]), fmt=QFormat(3, 4)
+        ).stream()
+        head = stream.process(signal[:10])
+        out = stream.process(np.zeros(0))
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert stream.samples_in == 10
+        tail = stream.process(signal[10:20])
+        fresh = stream.fir.apply(signal[:20])
+        assert np.array_equal(np.concatenate([head, tail]), fresh)
 
     def test_stream_counts_samples(self, signal):
         stream = FixedPointFirStream(
