@@ -58,7 +58,6 @@ def _boot(artifact: str) -> subprocess.Popen:
             "--port", "0",
             "--workers", str(NUM_WORKERS),
             "--shards", str(NUM_SHARDS),
-            "--max-delay-ms", "1",
             "--max-sessions", "8",
         ],
         stdout=subprocess.PIPE,

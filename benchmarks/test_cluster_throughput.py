@@ -105,7 +105,7 @@ def test_cluster_saturation(tmp_path, paper_budget, merge_bench):
     save_classifier(classifier, str(path))
     batches = _request_batches(classifier, num_requests)
     total_samples = num_requests * BATCH_K
-    batcher = BatcherConfig(max_batch_size=256, max_delay=0.001)
+    batcher = BatcherConfig(max_batch_size=256)
 
     # Phase 1: single-process baseline on the identical stack.
     registry = ModelRegistry()
@@ -148,9 +148,7 @@ def test_cluster_saturation(tmp_path, paper_budget, merge_bench):
         registry,
         ServeConfig(
             port=0,
-            batcher=BatcherConfig(
-                max_batch_size=1024, max_delay=0.05, max_pending_samples=BATCH_K
-            ),
+            batcher=BatcherConfig(max_batch_size=1024, max_pending_samples=BATCH_K),
         ),
     )
     overload_batches = batches[:40]
@@ -158,8 +156,9 @@ def test_cluster_saturation(tmp_path, paper_budget, merge_bench):
     tallies = [[0, 0, 0] for _ in range(overload_clients)]  # shed/served/wrong
 
     def overload_run(index):
-        # Concurrent connections keep the 0.05 s flush window populated, so
-        # later arrivals find the admission budget spent and get shed.
+        # Eight connections deliver frames in the same loop turns, so a
+        # request arriving while an accepted one waits for its next-turn
+        # flush finds the admission budget spent and gets shed.
         with wire.WireClient(
             "127.0.0.1", handle.server.port, timeout=30.0
         ) as client:

@@ -101,7 +101,7 @@ def test_stream_throughput(paper_budget, merge_bench):
         registry,
         ServeConfig(
             port=0,
-            batcher=BatcherConfig(max_batch_size=256, max_delay=0.001),
+            batcher=BatcherConfig(max_batch_size=256),
             stream_max_sessions=num_sessions + 1,
         ),
     )

@@ -172,13 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="flush a micro-batch at this many pending samples",
-    )
-    serve.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=5.0,
-        help="maximum milliseconds a request waits for co-batching",
+        help="flush a micro-batch at this many pending samples (smaller "
+        "batches flush on the next event-loop turn); a batch over this size "
+        "runs its engine call off the event loop",
     )
     serve.add_argument(
         "--backend",
@@ -1134,7 +1130,6 @@ def _run_serve(args) -> int:
 
     batcher = BatcherConfig(
         max_batch_size=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
         max_pending_samples=args.max_pending,
     )
 

@@ -894,7 +894,6 @@ class ClusterVsSingleOracle(Oracle):
 
         from ..core.serialize import save_classifier
         from ..serve import (
-            BatcherConfig,
             ClusterConfig,
             ClusterSupervisor,
             ModelRegistry,
@@ -948,7 +947,6 @@ class ClusterVsSingleOracle(Oracle):
                     ClusterConfig(
                         artifacts=(("m", artifact),),
                         workers=2,
-                        batcher=BatcherConfig(max_delay=0.002),
                     )
                 )
                 supervisor.start()

@@ -13,8 +13,8 @@ that *serves* them:
 - :class:`~repro.serve.registry.ModelRegistry` — validated, content-hashed,
   hot-reloadable model store.
 - :class:`~repro.serve.batcher.MicroBatcher` — asyncio micro-batching
-  (flush on size or latency deadline) with admission control and
-  deadline-aware load shedding.
+  (flush on size or on the next event-loop turn) with admission control
+  and deadline-aware load shedding.
 - :class:`~repro.serve.server.InferenceServer` — stdlib-only endpoint
   speaking both HTTP (``POST /predict``, ``GET /healthz``, ``GET
   /metrics``) and the ``repro.serve-wire/v1`` binary protocol

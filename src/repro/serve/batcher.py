@@ -6,17 +6,18 @@ engine call per request.  :class:`MicroBatcher` queues incoming feature
 arrays per model and flushes a combined batch when either
 
 - the pending sample count reaches ``max_batch_size``, or
-- ``max_delay`` seconds elapse since the oldest pending request
-  (the latency deadline — a lone request never waits longer than this).
+- the event loop takes its next turn (``loop.call_soon``): requests
+  submitted in the same turn co-batch, and a lone request never sleeps.
 
 Each awaiting caller receives exactly its slice of the combined
 :class:`~repro.serve.engine.BatchResult`; because the engine is bit-exact
 and stateless per sample, batching is invisible in the results — only in
 the latency/throughput profile and the batch-size metrics.
 
-The engine call itself is synchronous CPU work; flushes run it in the event
-loop's default executor so the server keeps accepting requests while a
-batch computes.
+A batch of at most ``max_batch_size`` samples runs the engine inline on the
+loop, which costs less than a thread hop.  Only a request that overshoots
+the flush size (say one 65,536-row frame) sends its batch to the default
+executor, so it cannot stall the other connections.
 
 Three serving-plane concerns live here as well:
 
@@ -61,10 +62,8 @@ class BatcherConfig:
     Parameters
     ----------
     max_batch_size:
-        Flush as soon as this many samples are pending for one model.
-    max_delay:
-        Maximum seconds a request may wait for co-batching before the
-        pending batch is flushed regardless of size.
+        Flush as soon as this many samples are pending for one model; a
+        larger batch runs in the default executor, not on the event loop.
     max_pending_samples:
         Admission-control bound: total samples queued or in flight across
         all models before new submissions are shed with
@@ -73,7 +72,6 @@ class BatcherConfig:
     """
 
     max_batch_size: int = 64
-    max_delay: float = 0.005
     max_pending_samples: int = 0
 
     def __post_init__(self) -> None:
@@ -81,8 +79,6 @@ class BatcherConfig:
             raise ServeError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_delay < 0:
-            raise ServeError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.max_pending_samples < 0:
             raise ServeError(
                 f"max_pending_samples must be >= 0, got {self.max_pending_samples}"
@@ -118,7 +114,7 @@ class _Pending:
         self.raw = raw
         self.items: "List[_Item]" = []
         self.samples = 0
-        self.timer: "Optional[asyncio.TimerHandle]" = None
+        self.handle: "Optional[asyncio.Handle]" = None
 
 
 class MicroBatcher:
@@ -234,16 +230,16 @@ class MicroBatcher:
         self._load += k
         if pending.samples >= self.config.max_batch_size:
             self._flush(key)
-        elif pending.timer is None:
-            pending.timer = loop.call_later(self.config.max_delay, self._flush, key)
+        elif pending.handle is None:
+            pending.handle = loop.call_soon(self._flush, key)
         return await future
 
     def _flush(self, key: "Tuple[str, str, bool]") -> None:
         pending = self._pending.pop(key, None)
         if pending is None or not pending.items:
             return
-        if pending.timer is not None:
-            pending.timer.cancel()
+        if pending.handle is not None:
+            pending.handle.cancel()
         loop = asyncio.get_running_loop()
         task = loop.create_task(
             self._run_batch(pending.model, pending.items, pending.raw)
@@ -281,7 +277,10 @@ class MicroBatcher:
         try:
             stacked = np.concatenate([item.features for item in live], axis=0)
             run = model.engine.run_raw if raw else model.engine.run
-            result = await loop.run_in_executor(None, run, stacked)
+            if len(stacked) <= self.config.max_batch_size:
+                result = run(stacked)
+            else:
+                result = await loop.run_in_executor(None, run, stacked)
         except Exception as exc:  # reject every co-batched caller
             for item in live:
                 self._load -= item.features.shape[0]

@@ -328,7 +328,6 @@ class ClusterSupervisor:
             "artifacts": self._shard_artifacts(shard),
             "batcher": {
                 "max_batch_size": batcher.max_batch_size,
-                "max_delay": batcher.max_delay,
                 "max_pending_samples": batcher.max_pending_samples,
             },
             "backend": self.config.backend,

@@ -63,14 +63,19 @@ class TestParser:
                 "--artifact", "alarm=b.json",
                 "--port", "0",
                 "--max-batch", "16",
-                "--max-delay-ms", "2.5",
             ]
         )
         assert args.command == "serve"
         assert args.artifact == ["a.json", "alarm=b.json"]
         assert args.port == 0
         assert args.max_batch == 16
-        assert args.max_delay_ms == 2.5
+
+    def test_removed_max_delay_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", "--artifact", "a.json", "--max-delay-ms", "1"]
+            )
+        assert excinfo.value.code == 2
 
     def test_serve_requires_artifact(self):
         with pytest.raises(SystemExit):

@@ -1,13 +1,15 @@
 """Tests for the asyncio micro-batching queue.
 
 The batcher's contract: co-batched requests receive exactly the slices of
-one vectorized engine call, flushes happen on size or deadline, and a
-poisoned batch rejects every member with the engine's error.
+one vectorized engine call, flushes happen on size or on the next event-loop
+turn, a batch up to the flush size runs on the loop thread and a larger one
+off it, and a poisoned batch rejects every member with the engine's error.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -41,19 +43,17 @@ class TestConfig:
         with pytest.raises(ServeError):
             BatcherConfig(max_batch_size=0)
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ServeError):
-            BatcherConfig(max_delay=-1.0)
+    def test_removed_max_delay_rejected(self):
+        with pytest.raises(TypeError):
+            BatcherConfig(max_delay=0.005)
 
 
 class TestCoalescing:
     def test_concurrent_submits_share_one_batch(self, registry, rng):
-        """Requests arriving inside one delay window run as a single batch."""
+        """Requests submitted in one loop turn run as a single batch."""
         metrics = ServeMetrics()
         batcher = MicroBatcher(
-            registry,
-            config=BatcherConfig(max_batch_size=64, max_delay=0.05),
-            metrics=metrics,
+            registry, config=BatcherConfig(max_batch_size=64), metrics=metrics
         )
 
         async def scenario():
@@ -71,42 +71,104 @@ class TestCoalescing:
             assert np.array_equal(result.labels, engine.predict(chunk))
 
     def test_size_triggered_flush(self, registry, rng):
-        """Hitting max_batch_size flushes without waiting for the deadline."""
+        """Hitting max_batch_size flushes at once, inside the submitting turn.
+
+        Five 2-row submits in one turn fill two 4-row batches on size; only
+        the fifth request is left for the next-turn flush.
+        """
         metrics = ServeMetrics()
         batcher = MicroBatcher(
-            registry,
-            # Deadline far beyond the test's patience: only size can flush.
-            config=BatcherConfig(max_batch_size=4, max_delay=30.0),
-            metrics=metrics,
+            registry, config=BatcherConfig(max_batch_size=4), metrics=metrics
         )
 
         async def scenario():
             return await asyncio.wait_for(
                 asyncio.gather(
-                    batcher.submit("m", _features(rng, 2)),
-                    batcher.submit("m", _features(rng, 2)),
+                    *[batcher.submit("m", _features(rng, 2)) for _ in range(5)]
                 ),
                 timeout=5.0,
             )
 
         results = asyncio.run(scenario())
-        assert len(results) == 2
-        assert metrics.to_dict()["batches_total"] == 1
+        assert len(results) == 5
+        assert metrics.to_dict()["batches_total"] == 3
 
-    def test_deadline_triggered_flush(self, registry, rng):
-        """A lone request is answered after max_delay even far below size."""
+    def test_lone_request_flushes_on_next_turn(self, registry, rng):
+        """A lone request far below size is answered within a few loop
+        turns; it never sleeps on a timer."""
 
         async def scenario():
-            batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=1024, max_delay=0.01)
-            )
-            result, _ = await asyncio.wait_for(
-                batcher.submit("m", _features(rng, 1)), timeout=5.0
-            )
+            batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=1024))
+            task = asyncio.ensure_future(batcher.submit("m", _features(rng, 1)))
+            for _ in range(10):
+                await asyncio.sleep(0)
+            assert task.done()
+            result, _ = task.result()
             return result
 
         result = asyncio.run(scenario())
         assert result.num_samples == 1
+
+    def test_engine_thread_follows_batch_size(self, registry, rng, monkeypatch):
+        """A batch up to max_batch_size runs on the loop thread; a larger
+        one (a request that overshoots the flush size) runs off it."""
+        engine = registry.get("m").engine
+        run = engine.run
+        threads = {}
+
+        def recording_run(features):
+            threads[len(features)] = threading.get_ident()
+            return run(features)
+
+        monkeypatch.setattr(engine, "run", recording_run)
+
+        async def scenario():
+            batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=4))
+            for k in (4, 5):
+                await asyncio.wait_for(
+                    batcher.submit("m", _features(rng, k)), timeout=5.0
+                )
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(scenario())
+        assert threads[4] == loop_thread
+        assert threads[5] != loop_thread
+
+    def test_small_request_answered_while_large_batch_runs(
+        self, registry, rng, monkeypatch
+    ):
+        """An overshooting batch held in the executor does not block a
+        1-row request behind it."""
+        engine = registry.get("m").engine
+        run = engine.run
+        release = threading.Event()
+
+        def gated_run(features):
+            if len(features) > 4:
+                assert release.wait(timeout=5.0)
+            return run(features)
+
+        monkeypatch.setattr(engine, "run", gated_run)
+
+        async def scenario():
+            batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=4))
+            large = asyncio.ensure_future(batcher.submit("m", _features(rng, 5)))
+            await asyncio.sleep(0)  # the large batch flushes on size
+            small, _ = await asyncio.wait_for(
+                batcher.submit("m", _features(rng, 1)), timeout=5.0
+            )
+            held = not large.done()
+            release.set()
+            big, _ = await asyncio.wait_for(large, timeout=5.0)
+            return small, big, held
+
+        try:
+            small, big, held = asyncio.run(scenario())
+        finally:
+            release.set()
+        assert held  # the small answer arrived while the large batch ran
+        assert small.num_samples == 1
+        assert big.num_samples == 5
 
     def test_results_are_request_slices(self, registry, rng):
         """Slicing returns each caller exactly its own rows, in order."""
@@ -114,7 +176,7 @@ class TestCoalescing:
 
         async def scenario():
             batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=64, max_delay=0.02)
+                registry, config=BatcherConfig(max_batch_size=64)
             )
             chunks = [_features(rng, k) for k in (1, 3, 2)]
             gathered = await asyncio.gather(
@@ -145,7 +207,7 @@ class TestErrors:
 
         async def scenario():
             batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=64, max_delay=0.01)
+                registry, config=BatcherConfig(max_batch_size=64)
             )
             with pytest.raises(ServeError, match="expects 3 features"):
                 await batcher.submit("m", np.zeros((1, 5)))
@@ -157,7 +219,7 @@ class TestErrors:
 
         async def scenario():
             batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=64, max_delay=0.02)
+                registry, config=BatcherConfig(max_batch_size=64)
             )
             good = _features(rng, 2)
             results = await asyncio.wait_for(
@@ -186,7 +248,7 @@ class TestErrors:
 
         async def scenario():
             batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=64, max_delay=0.01)
+                registry, config=BatcherConfig(max_batch_size=64)
             )
             return await asyncio.wait_for(
                 asyncio.gather(
@@ -217,7 +279,7 @@ class TestErrors:
 
         async def scenario():
             batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=64, max_delay=0.02)
+                registry, config=BatcherConfig(max_batch_size=64)
             )
             features = _features(rng, 2)
             task = asyncio.ensure_future(batcher.submit("m", features))
@@ -247,7 +309,7 @@ class TestPinStability:
 
         async def scenario():
             batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=64, max_delay=0.02)
+                registry, config=BatcherConfig(max_batch_size=64)
             )
             features = _features(rng, 2)
             task = asyncio.ensure_future(
@@ -268,11 +330,9 @@ class TestPinStability:
 class TestDrain:
     def test_drain_completes_pending_work(self, registry, rng):
         async def scenario():
-            batcher = MicroBatcher(
-                registry, config=BatcherConfig(max_batch_size=1024, max_delay=10.0)
-            )
+            batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=1024))
             # Submit without awaiting, then drain: the pending batch must
-            # flush immediately rather than waiting out the 10 s deadline.
+            # flush inside drain(), ahead of its next-turn flush.
             task = asyncio.ensure_future(batcher.submit("m", _features(rng, 2)))
             await asyncio.sleep(0)
             await batcher.drain()

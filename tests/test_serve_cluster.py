@@ -93,7 +93,7 @@ def cluster(tmp_path_factory):
         artifacts=(("m", str(path)),),
         workers=2,
         shards=1,
-        batcher=BatcherConfig(max_batch_size=64, max_delay=0.002),
+        batcher=BatcherConfig(max_batch_size=64),
         health_interval=0.1,
         drain_timeout=10.0,
     )
@@ -208,7 +208,7 @@ class TestGracefulStop:
             ClusterConfig(
                 artifacts=(("m", str(path)),),
                 workers=1,
-                batcher=BatcherConfig(max_batch_size=8, max_delay=0.002),
+                batcher=BatcherConfig(max_batch_size=8),
             )
         ) as supervisor:
             with wire.WireClient(

@@ -49,7 +49,7 @@ def server(classifier, second_classifier):
     registry.register("mirror", second_classifier)
     handle = start_server_thread(
         registry,
-        ServeConfig(port=0, batcher=BatcherConfig(max_batch_size=8, max_delay=0.002)),
+        ServeConfig(port=0, batcher=BatcherConfig(max_batch_size=8)),
     )
     yield handle
     handle.stop()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -30,6 +31,7 @@ from repro.serve import (
 from repro.serve.batcher import MicroBatcher
 from repro.serve.engine import BatchInferenceEngine
 from repro.serve.metrics import ServeMetrics
+from repro.serve.server import InferenceServer
 
 
 @pytest.fixture
@@ -52,9 +54,7 @@ class TestBatcherAdmission:
     def test_over_bound_submit_sheds_without_enqueueing(self, registry, rng):
         batcher = MicroBatcher(
             registry,
-            config=BatcherConfig(
-                max_batch_size=64, max_delay=0.05, max_pending_samples=4
-            ),
+            config=BatcherConfig(max_batch_size=64, max_pending_samples=4),
         )
 
         async def scenario():
@@ -67,9 +67,7 @@ class TestBatcherAdmission:
     def test_load_frees_after_flush_then_accepts_again(self, registry, rng):
         batcher = MicroBatcher(
             registry,
-            config=BatcherConfig(
-                max_batch_size=4, max_delay=0.01, max_pending_samples=4
-            ),
+            config=BatcherConfig(max_batch_size=4, max_pending_samples=4),
         )
 
         async def scenario():
@@ -92,9 +90,7 @@ class TestBatcherAdmission:
         engine = registry.get("m").engine
         batcher = MicroBatcher(
             registry,
-            config=BatcherConfig(
-                max_batch_size=64, max_delay=0.01, max_pending_samples=6
-            ),
+            config=BatcherConfig(max_batch_size=64, max_pending_samples=6),
         )
         accepted = _features(rng, 4)
 
@@ -111,9 +107,7 @@ class TestBatcherAdmission:
         assert np.array_equal(result.labels, expected.labels)
 
     def test_zero_bound_is_unbounded(self, registry, rng):
-        batcher = MicroBatcher(
-            registry, config=BatcherConfig(max_batch_size=512, max_delay=0.01)
-        )
+        batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=512))
 
         async def scenario():
             result, _ = await asyncio.wait_for(
@@ -132,22 +126,21 @@ class TestBatcherAdmission:
 
 class TestDeadlines:
     def test_expired_deadline_rejects_at_flush(self, registry, rng):
-        batcher = MicroBatcher(
-            registry,
-            # Flush well after a 1 ms deadline has passed.
-            config=BatcherConfig(max_batch_size=1024, max_delay=0.05),
-        )
+        batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=1024))
 
         async def scenario():
+            submitted = asyncio.ensure_future(
+                batcher.submit("m", _features(rng, 1), deadline_ms=1)
+            )
+            await asyncio.sleep(0)  # enqueue; the flush is due next turn
+            time.sleep(0.005)  # hold the loop past the 1 ms deadline
             with pytest.raises(DeadlineExceededError):
-                await batcher.submit("m", _features(rng, 1), deadline_ms=1)
+                await submitted
 
         asyncio.run(scenario())
 
     def test_generous_deadline_is_served(self, registry, rng):
-        batcher = MicroBatcher(
-            registry, config=BatcherConfig(max_batch_size=1024, max_delay=0.005)
-        )
+        batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=1024))
 
         async def scenario():
             result, _ = await asyncio.wait_for(
@@ -162,15 +155,15 @@ class TestDeadlines:
         """One expired deadline in a batch: the others still get answers."""
         engine = registry.get("m").engine
         live_features = _features(rng, 2)
-        batcher = MicroBatcher(
-            registry, config=BatcherConfig(max_batch_size=1024, max_delay=0.05)
-        )
+        batcher = MicroBatcher(registry, config=BatcherConfig(max_batch_size=1024))
 
         async def scenario():
             doomed = asyncio.ensure_future(
                 batcher.submit("m", _features(rng, 1), deadline_ms=1)
             )
             survivor = asyncio.ensure_future(batcher.submit("m", live_features))
+            await asyncio.sleep(0)  # both enqueue into one pending batch
+            time.sleep(0.005)  # hold the loop past the 1 ms deadline
             with pytest.raises(DeadlineExceededError):
                 await doomed
             return await asyncio.wait_for(survivor, timeout=5.0)
@@ -188,13 +181,7 @@ class TestServerSheds:
             registry,
             ServeConfig(
                 port=0,
-                batcher=BatcherConfig(
-                    # max_delay keeps samples queued long enough for a second
-                    # request to hit a full queue deterministically.
-                    max_batch_size=1024,
-                    max_delay=0.2,
-                    max_pending_samples=4,
-                ),
+                batcher=BatcherConfig(max_batch_size=1024, max_pending_samples=4),
             ),
         )
         yield handle
@@ -237,21 +224,25 @@ class TestServerSheds:
             again = client.request([[0.5, 0.25, 1.0]], model="m")
             assert isinstance(again, wire.WireResponse)
 
-    def test_deadline_503_reason(self, tight_server):
+    def test_deadline_503_reason(self, registry):
         body = json.dumps(
             {"model": "m", "features": [0.5, 0.25, 1.0], "deadline_ms": 1}
         ).encode()
-        request = urllib.request.Request(
-            tight_server.url + "/predict",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 503
-        payload = json.loads(excinfo.value.read())
+        metrics = ServeMetrics()
+        server = InferenceServer(registry, metrics=metrics)
+
+        async def scenario():
+            posted = asyncio.ensure_future(server._post("/predict", body))
+            await asyncio.sleep(0)  # enqueue; the flush is due next turn
+            time.sleep(0.005)  # hold the loop past the 1 ms deadline
+            return await asyncio.wait_for(posted, timeout=5.0)
+
+        status, _, text = asyncio.run(scenario())
+        assert status == 503
+        payload = json.loads(text)
         assert payload["shed"] is True
         assert payload["reason"] == "deadline"
+        assert metrics.to_dict()["requests_shed_total"] == 1
 
     def test_accepted_requests_still_bit_exact(self, tight_server, registry, rng):
         features = _features(rng, 3)
@@ -279,14 +270,9 @@ class TestGracefulShutdown:
         metrics = ServeMetrics()
 
         async def scenario():
-            from repro.serve.server import InferenceServer
-
             server = InferenceServer(
                 registry,
-                ServeConfig(
-                    port=0,
-                    batcher=BatcherConfig(max_batch_size=1024, max_delay=0.05),
-                ),
+                ServeConfig(port=0, batcher=BatcherConfig(max_batch_size=1024)),
                 metrics=metrics,
             )
             await server.start()

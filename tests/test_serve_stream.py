@@ -34,7 +34,6 @@ from repro.errors import (
     StreamSessionError,
 )
 from repro.serve import (
-    BatcherConfig,
     ModelRegistry,
     ServeConfig,
     StreamManager,
@@ -311,11 +310,7 @@ def http_server():
     registry = make_registry()
     handle = start_server_thread(
         registry,
-        ServeConfig(
-            port=0,
-            batcher=BatcherConfig(max_delay=0.002),
-            stream_max_sessions=2,
-        ),
+        ServeConfig(port=0, stream_max_sessions=2),
     )
     yield handle, registry
     handle.stop()
