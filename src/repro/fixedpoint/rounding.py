@@ -216,12 +216,17 @@ def shift_right_rounded_array(
 ) -> np.ndarray:
     """Vectorized exact ``raws / 2**shift`` rounding, dtype-generic.
 
-    Mirrors :func:`shift_right_rounded` case by case; uses floor division
-    and remainder (Python semantics on both int64 and object dtypes) so one
-    body serves the int64 fast paths and the object-dtype wide-format paths
-    of the serving engine and the fixed-point FIR.  Exact as long as
-    ``raws`` itself is: the caller picks int64 only when every word fits
-    (see :func:`repro.fixedpoint.qformat.int64_path_available`).
+    Mirrors :func:`shift_right_rounded` case by case.  Each mode is one
+    arithmetic right shift, which floors on both int64 and object (Python
+    int) dtypes, after a rounding offset: with ``raws = q * 2**shift + rem``
+    and ``0 <= rem < 2**shift``, the offset carries ``rem`` over the next
+    multiple exactly when the mode rounds ``q`` up.  So one body serves the
+    int64 fast paths and the object-dtype wide-format paths of the serving
+    engine and the fixed-point FIR, in one to five array passes.  Every
+    offset is added to ``raws`` first, so on object arrays a wide ``half``
+    never meets a bool array in int64.  Exact as long as ``raws`` itself
+    is: the caller picks int64 only when every word fits (see
+    :func:`repro.fixedpoint.qformat.int64_path_available`).
     """
     mode = RoundingMode.coerce(mode)
     if shift < 0:
@@ -229,17 +234,18 @@ def shift_right_rounded_array(
     if shift == 0:
         return raws
     div = 1 << shift
-    floor_q = raws // div
-    rem = raws - floor_q * div  # non-negative: floor division rounds to -inf
     if mode is RoundingMode.FLOOR:
-        return floor_q
+        return raws >> shift
     if mode is RoundingMode.CEIL:
-        return floor_q + (rem != 0)
+        return (raws + (div - 1)) >> shift
     if mode is RoundingMode.TOWARD_ZERO:
-        return floor_q + ((rem != 0) & (raws < 0))
+        return np.where(raws < 0, raws + (div - 1), raws) >> shift
     half = div >> 1
     if mode is RoundingMode.NEAREST_AWAY:
-        return floor_q + ((rem > half) | ((rem == half) & (raws >= 0)))
+        # rem == half carries over unless raws < 0.
+        return (raws + half - (raws < 0)) >> shift
     if mode is RoundingMode.NEAREST_EVEN:
-        return floor_q + np.where(rem == half, floor_q & 1, rem > half)
+        # rem == half carries over exactly when the floor quotient is odd.
+        floor_q = raws >> shift
+        return (raws + (half - 1) + (floor_q & 1)) >> shift
     raise InputValidationError(f"unsupported mode for exact shift: {mode}")

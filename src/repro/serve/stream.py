@@ -35,6 +35,7 @@ prevent.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from threading import Lock
@@ -130,47 +131,63 @@ class FrontEndConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FrontEndConfig":
-        """Build from a JSON object; unknown keys are rejected loudly."""
+        """Build from a JSON object; unknown keys are rejected loudly.
+
+        Values are taken as sent, never coerced: ``num_taps``,
+        ``guard_bits``, ``window_size`` and ``hop`` must be JSON integers,
+        ``sample_rate`` and the ``band`` edges finite JSON numbers (``bool``
+        is neither).  Truncating ``7.99`` guard bits to 7 would run a
+        narrower accumulator than the client asked for.
+        """
         if not isinstance(payload, dict):
             raise InputValidationError(
                 f"front-end config must be a JSON object, got "
                 f"{type(payload).__name__}"
             )
-        known = {
-            "sample_rate", "num_taps", "band", "guard_bits",
-            "window_size", "hop",
-        }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - {"sample_rate", "band", *_INT_KEYS})
         if unknown:
             raise InputValidationError(
                 f"unknown front-end config keys: {', '.join(unknown)}"
             )
-        kwargs: dict = {}
-        try:
-            if "sample_rate" in payload:
-                kwargs["sample_rate"] = float(payload["sample_rate"])
-            if "num_taps" in payload:
-                kwargs["num_taps"] = int(payload["num_taps"])
-            if "band" in payload:
-                band = payload["band"]
-                if not isinstance(band, (list, tuple)) or len(band) != 2:
-                    raise InputValidationError(
-                        f"band must be a [low, high] pair, got {band!r}"
-                    )
-                kwargs["band"] = (float(band[0]), float(band[1]))
-            if "guard_bits" in payload:
-                kwargs["guard_bits"] = int(payload["guard_bits"])
-            if "window_size" in payload:
-                kwargs["window_size"] = int(payload["window_size"])
-            if "hop" in payload:
-                kwargs["hop"] = int(payload["hop"])
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InputValidationError):
-                raise
-            raise InputValidationError(
-                f"front-end config values are not numeric: {exc}"
-            ) from exc
+        kwargs: dict = {
+            key: _json_int(key, payload[key]) for key in _INT_KEYS if key in payload
+        }
+        if "sample_rate" in payload:
+            kwargs["sample_rate"] = _json_number("sample_rate", payload["sample_rate"])
+        if "band" in payload:
+            band = payload["band"]
+            if not isinstance(band, (list, tuple)) or len(band) != 2:
+                raise InputValidationError(
+                    f"band must be a [low, high] pair, got {band!r}"
+                )
+            kwargs["band"] = (
+                _json_number("band", band[0]), _json_number("band", band[1])
+            )
         return cls(**kwargs)
+
+
+_INT_KEYS = ("num_taps", "guard_bits", "window_size", "hop")
+
+
+def _json_int(key: str, value: object) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputValidationError(
+            f"front-end config {key!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def _json_number(key: str, value: object) -> float:
+    # The comparison is False for NaN, infinities and ints beyond float range.
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise InputValidationError(
+            f"front-end config {key!r} must be a finite number, got {value!r}"
+        )
+    return float(value)
 
 
 def build_frontend(model: RegisteredModel, config: FrontEndConfig) -> FixedPointFir:

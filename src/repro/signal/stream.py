@@ -39,6 +39,7 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import InputValidationError
 from ..fixedpoint.overflow import OverflowMode, apply_overflow_raw
@@ -65,6 +66,10 @@ __all__ = [
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: Products per block of the fixed-point FIR kernel (128 KiB of int64):
+#: bounds its working set whatever the chunk length and tap count.
+_BLOCK_WORDS = 1 << 14
+
 
 def _chunk_1d(chunk: np.ndarray) -> np.ndarray:
     x = np.asarray(chunk, dtype=np.float64)
@@ -81,16 +86,23 @@ class FixedPointFirStream:
     words and therefore the float grid values); the one-shot call is this
     stepper over the whole signal.
 
-    The kernel is tap-major over ``ext = [history, chunk]``: for each tap
-    ``j`` it multiplies the tap by the whole slice of inputs ``j`` samples
-    back, narrows the products with one vectorized exact shift and adds
-    them into an accumulator array; at the end it wraps once into the
-    accumulator format and saturates to ``fmt``.  WRAP is reduction modulo
-    ``2**(K + guard_bits + F)``, so wrapping after every add (the hardware
-    adder chain) equals one wrap of the exact sum.  The words run on int64
-    when every intermediate fits (:func:`~repro.fixedpoint.qformat
-    .int64_path_available` over the taps, plus an int64 accumulator
-    modulus), else on object dtype through the same expressions.
+    The kernel is a blocked window matrix over ``ext = [history, chunk]``.
+    For each block of outputs ``[lo, hi)``, the sliding windows of
+    ``ext[lo : hi + m - 1]`` form an ``(m, hi - lo)`` view whose row ``r``
+    holds the inputs ``m - 1 - r`` samples back; it is multiplied by the
+    reversed taps as a column, every product is narrowed with one
+    vectorized exact shift, and the rows are summed into the block's
+    outputs.  Rows are taps, so the sum adds whole contiguous rows, which
+    stays fast for short filters.  Blocks hold at most
+    :data:`_BLOCK_WORDS` products, so the working set stays bounded
+    whatever the chunk length or tap count a client asks for.  At the end
+    the sums wrap once into the accumulator format and saturate to
+    ``fmt``.  WRAP is reduction modulo ``2**(K + guard_bits + F)``, so
+    wrapping after every add (the hardware adder chain) equals one wrap
+    of the exact sum.  The words run on int64 when every intermediate fits
+    (:func:`~repro.fixedpoint.qformat.int64_path_available` over the taps,
+    plus an int64 accumulator modulus), else on object dtype through the
+    same expressions.
     """
 
     def __init__(self, fir: FixedPointFir) -> None:
@@ -101,7 +113,8 @@ class FixedPointFirStream:
             int64_path_available(fir.fmt, m) and self._modulus <= _INT64_MAX
         )
         self._dtype = np.int64 if exact_in_int64 else object
-        self._taps = fir.tap_raws.tolist()
+        # Row r of a block's window matrix meets tap m - 1 - r.
+        self._taps_column = fir.tap_raws[::-1, None].astype(self._dtype)
         self._history = np.zeros(max(m - 1, 0), dtype=self._dtype)
         self.samples_in = 0
 
@@ -116,18 +129,28 @@ class FixedPointFirStream:
             ),
             dtype=np.int64,
         )
-        n, m = x_raws.size, len(self._taps)
+        n, m = x_raws.size, self._taps_column.shape[0]
+        # ext[m - 1 + i] is input i; the zero-seeded history contributes
+        # exact-zero products.
         ext = np.concatenate(
             [self._history, x_raws.astype(self._dtype, copy=False)]
         )
-        acc = np.zeros(n, dtype=self._dtype)
-        for j, tap in enumerate(self._taps):
-            # ext[m - 1 - j + i] is the input j samples before output i; the
-            # zero-seeded history contributes exact-zero products.
-            start = m - 1 - j
-            acc += shift_right_rounded_array(
-                tap * ext[start : start + n], fmt.fraction_bits, fir.rounding
+        acc = np.empty(n, dtype=self._dtype)
+        cols = max(1, _BLOCK_WORDS // m)
+        step = ext.strides[0]
+        for lo in range(0, n, cols):
+            hi = min(lo + cols, n)
+            # sliding_window_view(ext[lo : hi + m - 1], hi - lo), without
+            # its argument checks (about a fifth of a 100-sample chunk):
+            # row r, column c is ext[lo + r + c], and the last word read,
+            # ext[hi + m - 2], lies inside ext.
+            windows = as_strided(
+                ext[lo:], (m, hi - lo), (step, step), writeable=False
             )
+            products = shift_right_rounded_array(
+                self._taps_column * windows, fmt.fraction_bits, fir.rounding
+            )
+            products.sum(axis=0, out=acc[lo:hi])
         half = self._modulus >> 1
         acc = (acc + half) % self._modulus - half
         out = apply_overflow_raw(acc, fmt, OverflowMode.SATURATE)

@@ -169,6 +169,38 @@ class TestShiftRightRoundedArray:
         got = shift_right_rounded_array(raws, shift, mode)
         assert got.tolist() == [shift_right_rounded(r, shift, mode) for r in raws.tolist()]
 
+    @pytest.mark.parametrize("mode", EXACT_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("shift", [62, 63, 64, 70, 100])
+    def test_object_wide_shift_offsets_stay_exact(self, mode, shift):
+        # Each mode adds its rounding offset before the shift; at these
+        # shifts half no longer fits int64, so an offset combined with a
+        # bool array before it meets the words would overflow.
+        half, div = 1 << (shift - 1), 1 << shift
+        offsets = [-half - 1, -half, -half + 1, -1, 0, 1, half - 1, half, half + 1, div]
+        raws = np.array(
+            [b + d for b in (-(1 << 120), 0, 1 << 120) for d in offsets], dtype=object
+        )
+        got = shift_right_rounded_array(raws, shift, mode)
+        assert got.dtype == object
+        assert got.tolist() == [shift_right_rounded(r, shift, mode) for r in raws.tolist()]
+
+    @pytest.mark.parametrize("mode", EXACT_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("shift", [1, 2, 5, 16, 40])
+    def test_int64_mode_boundaries(self, mode, shift):
+        # Every word sits on or next to a rounding boundary of its quotient.
+        half, div = 1 << (shift - 1), 1 << shift
+        raws = np.array(
+            [
+                q * div + d
+                for q in range(-3, 4)
+                for d in (-half - 1, -half, -half + 1, half - 1, half, half + 1)
+            ],
+            dtype=np.int64,
+        )
+        got = shift_right_rounded_array(raws, shift, mode)
+        assert got.dtype == np.int64
+        assert got.tolist() == [shift_right_rounded(r, shift, mode) for r in raws.tolist()]
+
     def test_stochastic_rejected(self):
         with pytest.raises(InputValidationError):
             shift_right_rounded_array(np.arange(4), 2, RoundingMode.STOCHASTIC)

@@ -64,6 +64,22 @@ def waveform(n: int = 600, seed: int = 0) -> np.ndarray:
 
 SMALL = FrontEndConfig(window_size=50, hop=50, num_taps=7)
 
+#: Stream-open configs whose values are not exactly the JSON type asked for.
+INEXACT_CONFIGS = [
+    {"guard_bits": 7.99},
+    {"num_taps": 31.9},
+    {"num_taps": "201"},
+    {"window_size": 200.0},
+    {"hop": True},
+    {"guard_bits": None},
+    {"sample_rate": "250"},
+    {"sample_rate": False},
+    {"sample_rate": float("nan")},
+    {"sample_rate": 10**400},
+    {"band": [1.0, "40"]},
+    {"band": [True, 40.0]},
+]
+
 
 # --------------------------------------------------------------------- #
 # FrontEndConfig
@@ -98,6 +114,12 @@ class TestFrontEndConfig:
     def test_from_dict_rejects_non_numeric(self):
         with pytest.raises(InputValidationError):
             FrontEndConfig.from_dict({"window_size": "big"})
+
+    @pytest.mark.parametrize("payload", INEXACT_CONFIGS)
+    def test_from_dict_takes_values_as_sent(self, payload):
+        # Coercing would run 7.99 guard bits as 7 and 31.9 taps as 31.
+        with pytest.raises(InputValidationError):
+            FrontEndConfig.from_dict(payload)
 
 
 # --------------------------------------------------------------------- #
@@ -384,6 +406,17 @@ class TestHttpStreaming:
         )
         assert status == 400
 
+    def test_inexact_config_is_counted_400(self, http_server):
+        handle, _ = http_server
+        before = handle.server.metrics.errors_total
+        status, body = _post_error(
+            f"http://127.0.0.1:{handle.port}/stream/open",
+            {"session": "h5", "model": "ecg", "config": {"guard_bits": 7.99}},
+        )
+        assert status == 400
+        assert "guard_bits" in body["error"]
+        assert handle.server.metrics.errors_total == before + 1
+
     def test_session_cap_is_structured_503(self, http_server):
         handle, _ = http_server
         base = f"http://127.0.0.1:{handle.port}"
@@ -500,3 +533,15 @@ class TestWireStreaming:
                 assert len(reply.message.encode("utf-8")) <= 1024
             assert isinstance(client.open_stream("w4", model="ecg"), StreamOpened)
             assert isinstance(client.close_stream("w4"), StreamClosed)
+
+    def test_inexact_config_is_counted_wire_400(self, http_server):
+        handle, _ = http_server
+        before = handle.server.metrics.errors_total
+        with WireClient("127.0.0.1", handle.port) as client:
+            reply = client.open_stream("w5", config={"num_taps": 31.9}, model="ecg")
+            assert isinstance(reply, WireError)
+            assert reply.status == 400
+            assert "num_taps" in reply.message
+            assert handle.server.metrics.errors_total == before + 1
+            assert isinstance(client.open_stream("w5", model="ecg"), StreamOpened)
+            assert isinstance(client.close_stream("w5"), StreamClosed)

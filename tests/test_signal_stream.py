@@ -11,6 +11,8 @@ delay, hop larger than window) and the validation surface.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from repro.conformance.oracles import fxfir_reference
 from repro.errors import DataError, InputValidationError
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.rounding import RoundingMode
+from repro.serve.stream import FrontEndConfig
+from repro.serve.wire import MAX_SAMPLES_PER_FRAME
 from repro.signal.filters import design_fir, fir_direct
 from repro.signal.fxbiquad import FixedPointBiquad
 from repro.signal.fxfir import FixedPointFir
@@ -35,6 +39,7 @@ from repro.signal.stream import (
     FixedPointFirStream,
     PowerlineStream,
     WindowStream,
+    _BLOCK_WORDS,
     slice_windows,
 )
 
@@ -127,6 +132,57 @@ class TestFixedPointFirStream:
         want = fxfir_reference(fir, x)
         assert np.array_equal(fir.apply(x), want)
         assert np.array_equal(chunked(fir.stream(), x, [40, 1, 56]), want)
+
+    def test_block_edges(self):
+        # Four full blocks and a partial one.  Each chunk restarts its
+        # blocks, so chunks end one before, at and one after a block edge,
+        # and an empty chunk sits between two multi-block chunks.
+        fir = FixedPointFir(
+            taps=design_fir(31, (1.0, 40.0), kind="bandpass", sample_rate=250.0),
+            fmt=QFormat(3, 5),
+        )
+        cols = _BLOCK_WORDS // 31
+        n = 4 * cols + cols // 2
+        x = np.random.default_rng(5).uniform(-3.0, 3.0, size=n)
+        want = fxfir_reference(fir, x)
+        assert np.array_equal(fir.apply(x), want)
+        for sizes in (
+            [cols - 1, cols, cols + 1, n - 3 * cols],
+            [2 * cols + 5, 0, n - 2 * cols - 5],
+        ):
+            assert np.array_equal(chunked(fir.stream(), x, sizes), want)
+
+    def test_more_taps_than_block_words(self):
+        # One output column per block.
+        taps = np.random.default_rng(6).uniform(-0.1, 0.1, size=_BLOCK_WORDS + 1)
+        fir = FixedPointFir(taps=taps, fmt=QFormat(3, 8))
+        x = np.random.default_rng(7).uniform(-3.0, 3.0, size=40)
+        want = fxfir_reference(fir, x)
+        assert np.array_equal(fir.apply(x), want)
+        assert np.array_equal(chunked(fir.stream(), x, [17, 23]), want)
+
+    def test_largest_frame_working_set(self):
+        # One wire frame's worth of samples through the default front end:
+        # blocks keep the products to _BLOCK_WORDS words at a time.  An
+        # unblocked (31, 65536) product matrix peaks at about 35 MiB.
+        config = FrontEndConfig()
+        fir = FixedPointFir(
+            taps=design_fir(
+                config.num_taps, config.band, kind="bandpass",
+                sample_rate=config.sample_rate,
+            ),
+            fmt=QFormat(3, 5),
+            guard_bits=config.guard_bits,
+        )
+        stream = fir.stream()
+        x = np.random.default_rng(9).uniform(-3.0, 3.0, size=MAX_SAMPLES_PER_FRAME)
+        tracemalloc.start()
+        try:
+            stream.process(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_empty_chunk_leaves_state(self, signal):
         stream = FixedPointFir(
