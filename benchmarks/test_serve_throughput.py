@@ -2,9 +2,10 @@
 
 Informational benchmark (not gated): classifies 10k ECG beats through
 
-- the per-sample RTL simulator path (``predict_bitexact`` routes every
-  sample through Python-int arithmetic),
-- the :class:`~repro.serve.BatchInferenceEngine` object fallback, and
+- the per-sample reference, one ``project_traced`` call per beat,
+- ``predict_bitexact``, which runs the batch datapath kernel
+  (:func:`~repro.fixedpoint.datapath.project_batch_raws`) on int64 words,
+- the same kernel on object words, the path wide formats take, and
 - the :class:`~repro.serve.BatchInferenceEngine` int64 fast path,
 
 asserting bit-identical labels throughout, and records samples/sec and the
@@ -20,10 +21,11 @@ import time
 
 import numpy as np
 
+from repro.conformance.oracles import object_words_result
 from repro.core.classifier import FixedPointLinearClassifier
 from repro.data import make_ecg_dataset
 from repro.fixedpoint.qformat import QFormat
-from repro.fixedpoint.quantize import quantize
+from repro.fixedpoint.quantize import quantize, quantize_raw
 from repro.serve import BatchInferenceEngine
 
 NUM_SAMPLES = 10_000
@@ -66,12 +68,14 @@ def test_serve_engine_throughput(save_result, paper_budget, merge_bench):
 
     started = time.perf_counter()
     per_sample_labels = classifier.predict_bitexact(features)
-    timings["predict_bitexact (np.vectorize)"] = time.perf_counter() - started
+    timings["predict_bitexact (int64 kernel)"] = time.perf_counter() - started
 
-    engine_obj = BatchInferenceEngine(classifier, backend="object")
     started = time.perf_counter()
-    object_labels = engine_obj.predict(features)
-    timings["engine (object fallback)"] = time.perf_counter() - started
+    object_labels = object_words_result(
+        classifier,
+        quantize_raw(features, classifier.fmt, rounding=classifier.rounding),
+    ).labels
+    timings["batch kernel (object words)"] = time.perf_counter() - started
 
     engine_fast = BatchInferenceEngine(classifier)
     assert engine_fast.fast_path

@@ -178,10 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("auto", "object", "native"),
+        choices=("auto", "native"),
         default="auto",
-        help="engine backend; 'native' compiles each artifact's C kernel "
-        "(falls back to auto with a printed reason if it cannot)",
+        help="engine backend: 'auto' runs the batch kernel (object words for "
+        "formats too wide for int64); 'native' compiles each artifact's C "
+        "kernel (falls back to auto with a printed reason if it cannot)",
     )
     serve.add_argument(
         "--native-cache",
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--artifact", metavar="PATH", required=True)
     predict.add_argument(
         "--backend",
-        choices=("auto", "object", "native"),
+        choices=("auto", "native"),
         default="auto",
         help="engine backend (as for 'serve'); 'native' uses the compiled "
         "C kernel when available",

@@ -157,20 +157,23 @@ def _record_datapath() -> dict:
 
 
 def _record_serve_engine() -> dict:
-    """Vectorized engine outputs (fast path + object fallback) per case."""
+    """Engine outputs per case: int64 path and batch kernel on object words."""
     from ..serve.engine import BatchInferenceEngine
+    from .oracles import object_words_result
     from .strategies import case_classifier, case_features
 
     out = []
     for case in _trace_cases():
         classifier = case_classifier(case)
         features = case_features(case)
+        engine = BatchInferenceEngine(classifier)
         paths = {}
-        for label, backend in (("fast", "auto"), ("object", "object")):
-            engine = BatchInferenceEngine(classifier, backend=backend)
-            result = engine.run(features)
+        for label, fast_path, result in (
+            ("fast", engine.fast_path, engine.run(features)),
+            ("object", False, object_words_result(classifier, case["feature_raws"])),
+        ):
             paths[label] = {
-                "fast_path": bool(engine.fast_path),
+                "fast_path": bool(fast_path),
                 "projection_raws": [int(r) for r in result.projection_raws],
                 "labels": [int(b) for b in result.labels],
                 "product_overflow_events": int(result.product_overflow_events),
@@ -382,15 +385,17 @@ def _record_native_engine() -> dict:
     """Backend-agreement pin for the deployed ECG wl=8 artifact.
 
     Records the *fast-path* outputs on a pinned raw-word batch, plus
-    agreement booleans for the object fallback and the compiled native
-    backend.  ``native_agrees`` is true when the native kernel matched bit
-    for bit *or* when no C compiler exists on this host (the backend
-    cannot be built there, and the fallback path is the fast path already
-    pinned here) — so record and verify produce identical payloads on any
-    machine, while a reachable native divergence still fails verification.
+    agreement booleans for the batch kernel on object words and the
+    compiled native backend.  ``native_agrees`` is true when the native
+    kernel matched bit for bit *or* when no C compiler exists on this host
+    (the backend cannot be built there, and the fallback path is the fast
+    path already pinned here) — so record and verify produce identical
+    payloads on any machine, while a reachable native divergence still
+    fails verification.
     """
     from ..serve.engine import BatchInferenceEngine
     from ..serve.registry import content_hash
+    from .oracles import object_words_result
 
     _pipeline, result, _train, _test = _ecg_wl8_pipeline()
     classifier = result.classifier
@@ -408,8 +413,7 @@ def _record_native_engine() -> dict:
 
     fast = BatchInferenceEngine(classifier).run_raw(raw_batch)
 
-    def _agrees(engine: "BatchInferenceEngine") -> bool:
-        got = engine.run_raw(raw_batch)
+    def _agrees(got) -> bool:
         return all(
             np.array_equal(
                 np.asarray(getattr(got, field)), np.asarray(getattr(fast, field))
@@ -422,9 +426,9 @@ def _record_native_engine() -> dict:
             )
         )
 
-    object_agrees = _agrees(BatchInferenceEngine(classifier, backend="object"))
+    object_agrees = _agrees(object_words_result(classifier, raw_batch))
     native = BatchInferenceEngine(classifier, backend="native")
-    native_agrees = native.backend != "native" or _agrees(native)
+    native_agrees = native.backend != "native" or _agrees(native.run_raw(raw_batch))
     return {
         "artifact_hash": content_hash(classifier),
         "feature_raws": [[int(v) for v in row] for row in raws],

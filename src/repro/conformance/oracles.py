@@ -2,8 +2,9 @@
 
 The repo carries four independent implementations of the same bit-exact
 semantics: the per-sample reference datapath
-(:class:`~repro.fixedpoint.datapath.FixedPointDatapath`), the vectorized
-serving engine (int64 fast path and object fallback), the ``repro.check``
+(:meth:`~repro.fixedpoint.datapath.FixedPointDatapath.project_traced`), the
+vectorized batch datapath kernel behind the serving engine and
+``predict_bitexact`` (int64 or object words), the ``repro.check``
 abstract-interpretation certifier, and the accelerated solver and sweep
 engine with their plain baselines.  Each *pair* is differentially tested
 somewhere in ``tests/``, but those checks were written ad hoc per PR.  An
@@ -40,6 +41,7 @@ __all__ = [
     "ORACLES",
     "get_oracle",
     "fxfir_reference",
+    "object_words_result",
 ]
 
 
@@ -79,24 +81,49 @@ class Oracle:
         raise OracleDiscrepancy(self.name, message, case)
 
 
+def object_words_result(classifier, x_raws):
+    """The batch datapath kernel on object words, for any format.
+
+    The engine runs object words only where int64 is inexact; this covers
+    them on small formats too.  ``x_raws`` are saturated into the format
+    first, as ``BatchInferenceEngine.run_raw`` does.
+    """
+    from ..fixedpoint.datapath import project_batch_raws
+    from ..serve.engine import BatchResult
+
+    fmt, datapath = classifier.fmt, classifier.datapath()
+    words = np.clip(np.atleast_2d(np.asarray(x_raws, dtype=object)), fmt.min_raw, fmt.max_raw)
+    raws, product_overflowed, accumulator_overflowed = project_batch_raws(
+        words, datapath.weight_raws, datapath.threshold_raw, datapath.config
+    )
+    labels = np.asarray(classifier.polarity * raws >= 0, dtype=bool).astype(np.int64)
+    return BatchResult(raws, labels, product_overflowed, accumulator_overflowed)
+
+
 # --------------------------------------------------------------------- #
-# 1. Serving engine (fast + object + raw hook) vs per-sample datapath
+# 1. Serving engine (int64/object kernel + raw hook) vs per-sample datapath
 # --------------------------------------------------------------------- #
 class EngineDatapathOracle(Oracle):
-    """Four-way bit-identity: engine int64 path, engine object fallback,
-    the :meth:`run_raw` hook, and the scalar reference datapath — raws,
-    labels, and per-step overflow flags, including forced-wrap inputs."""
+    """Bit-identity of the engine's auto path, the batch kernel on object
+    words, and the :meth:`run_raw` hook against the scalar reference
+    datapath: raws, labels, and per-step overflow flags, including
+    forced-wrap inputs and 31-32 bit formats, where auto picks object words."""
 
     name = "engine-datapath"
     description = (
-        "serve.BatchInferenceEngine (fast/object/run_raw) vs "
+        "serve.BatchInferenceEngine (auto/object words/run_raw) vs "
         "fixedpoint.FixedPointDatapath.project_traced, bit for bit"
     )
     default_examples = 60
 
     def strategy(self) -> st.SearchStrategy:
-        return cst.classifier_cases(
-            max_integer_bits=4, max_fraction_bits=5, max_features=6, max_samples=6
+        sizes = {"max_features": 6, "max_samples": 6}
+        return st.one_of(
+            cst.classifier_cases(max_integer_bits=4, max_fraction_bits=5, **sizes),
+            cst.classifier_cases(
+                min_integer_bits=15, max_integer_bits=16, min_fraction_bits=16,
+                max_fraction_bits=16, **sizes,
+            ),
         )
 
     def check(self, case: dict) -> None:
@@ -105,16 +132,16 @@ class EngineDatapathOracle(Oracle):
         classifier = cst.case_classifier(case)
         features = cst.case_features(case)
         datapath = classifier.datapath()
+        engine = BatchInferenceEngine(classifier)
+        raws = np.asarray(case["feature_raws"], dtype=object)
         results = {
-            "fast": BatchInferenceEngine(classifier).run(features),
-            "object": BatchInferenceEngine(classifier, backend="object").run(features),
-            "run_raw": BatchInferenceEngine(classifier).run_raw(
-                np.asarray(case["feature_raws"], dtype=object)
-            ),
+            "auto": engine.run(features),
+            "object": object_words_result(classifier, raws),
+            "run_raw": engine.run_raw(raws),
         }
-        expected_labels = classifier.predict_bitexact(features)
         for i, row in enumerate(np.atleast_2d(features)):
             trace = datapath.project_traced(row)
+            expected_label = int(classifier.polarity * trace.result_raw >= 0)
             for path, result in results.items():
                 if int(result.projection_raws[i]) != trace.result_raw:
                     self.fail(
@@ -130,10 +157,10 @@ class EngineDatapathOracle(Oracle):
                     != trace.accumulator_overflowed
                 ):
                     self.fail(f"sample {i}: {path} accumulator flags diverge", case)
-                if int(result.labels[i]) != int(expected_labels[i]):
+                if int(result.labels[i]) != expected_label:
                     self.fail(
                         f"sample {i}: {path} label {int(result.labels[i])} != "
-                        f"predict_bitexact {int(expected_labels[i])}",
+                        f"project_traced {expected_label}",
                         case,
                     )
 
@@ -220,9 +247,9 @@ class NativeVsFastOracle(Oracle):
         features = cst.case_features(case)
         result = native.run(features)
         datapath = classifier.datapath(overflow=overflow)
-        expected_labels = classifier.predict_bitexact(features, overflow=overflow)
         for i, row in enumerate(np.atleast_2d(features)):
             trace = datapath.project_traced(row)
+            expected_label = int(classifier.polarity * trace.result_raw >= 0)
             if int(result.projection_raws[i]) != trace.result_raw:
                 self.fail(
                     f"sample {i}: native projection raw "
@@ -237,10 +264,10 @@ class NativeVsFastOracle(Oracle):
                 != trace.accumulator_overflowed
             ):
                 self.fail(f"sample {i}: native accumulator flags diverge", case)
-            if int(result.labels[i]) != int(expected_labels[i]):
+            if int(result.labels[i]) != expected_label:
                 self.fail(
                     f"sample {i}: native label {int(result.labels[i])} != "
-                    f"predict_bitexact {int(expected_labels[i])}",
+                    f"project_traced {expected_label}",
                     case,
                 )
 

@@ -153,6 +153,8 @@ def classifier_cases(
     max_features: int = 6,
     max_samples: int = 8,
     feature_beyond: int = 1,
+    min_integer_bits: int = 1,
+    min_fraction_bits: int = 0,
 ) -> dict:
     """JSON-able cases: a classifier plus a feature batch, all raw words.
 
@@ -161,8 +163,8 @@ def classifier_cases(
     are exercised (conversion back to reals is exact — see
     :func:`weight_grids`).
     """
-    k = draw(st.integers(min_value=1, max_value=max_integer_bits))
-    f = draw(st.integers(min_value=0, max_value=max_fraction_bits))
+    k = draw(st.integers(min_value=min_integer_bits, max_value=max_integer_bits))
+    f = draw(st.integers(min_value=min_fraction_bits, max_value=max_fraction_bits))
     fmt = QFormat(k, f)
     m = draw(st.integers(min_value=1, max_value=max_features))
     n = draw(st.integers(min_value=1, max_value=max_samples))

@@ -6,9 +6,10 @@ the format ``QK.F``.  Prediction offers two paths:
 
 - ``predict`` — float evaluation of the quantized constants (fast; exact
   when no datapath overflow occurs), used by the big experiment sweeps;
-- ``predict_bitexact`` — routes every sample through the
+- ``predict_bitexact`` — runs the batch through the
   :class:`~repro.fixedpoint.datapath.FixedPointDatapath` RTL-equivalent
-  simulator, reproducing product rounding and wrapping accumulation.
+  simulator's vectorized kernel, reproducing product rounding and wrapping
+  accumulation bit for bit.
 
 The test suite asserts the two paths agree whenever the datapath reports no
 overflow, and the overflow ablation studies where they diverge.

@@ -14,8 +14,9 @@ format (paper Section 3); hardware performs:
    exactly and is property-tested against exact integer arithmetic.
 3. A final subtraction of the threshold and a sign comparison.
 
-The simulator operates on raw integer words throughout, so results are
-bit-exact regardless of word length (Python ints are unbounded).
+:meth:`FixedPointDatapath.project_traced` is the per-sample reference, on
+Python ints, so bit-exact at any word length.  :func:`project_batch_raws` is
+the one batch kernel; ``project_batch`` and the serving engine run it.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import InputValidationError
+from ..errors import InputValidationError, OverflowModeError
 from .overflow import OverflowMode, apply_overflow_raw
-from .qformat import QFormat
-from .quantize import quantize_raw
-from .rounding import RoundingMode, shift_right_rounded
+from .qformat import QFormat, int64_path_available
+from .quantize import dequantize_raw, quantize_raw
+from .rounding import RoundingMode, shift_right_rounded, shift_right_rounded_array
 
-__all__ = ["DatapathConfig", "DatapathTrace", "FixedPointDatapath"]
+__all__ = [
+    "DatapathConfig", "DatapathTrace", "FixedPointDatapath", "project_batch_raws", "quantize_batch"
+]
 
 
 @dataclass(frozen=True)
@@ -191,50 +194,89 @@ class FixedPointDatapath:
     # Vectorized path (used by evaluation loops; tested against the traced path)
     # ------------------------------------------------------------------ #
     def project_batch(self, features: np.ndarray) -> np.ndarray:
-        """Vectorized ``w' x - threshold`` over rows of ``features``.
+        """Vectorized ``w' x - threshold`` over the rows of ``features``.
 
-        Bit-exact with :meth:`project` (covered by a property test); uses
-        object-dtype integers internally so arbitrary word lengths stay
-        exact.
+        Runs :func:`project_batch_raws` on int64 words when
+        :func:`int64_path_available` holds, else on object words.  Bit-exact
+        with :meth:`project` (covered by a property test).
         """
-        fmt = self.config.fmt
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        x_raws = quantize_raw(
-            x, fmt, rounding=self.config.rounding, overflow=OverflowMode.SATURATE
-        ).astype(object)
-        w = self.weight_raws.astype(object)
-
-        full = x_raws * w[None, :]
-        narrow = np.vectorize(
-            lambda r: shift_right_rounded(int(r), fmt.fraction_bits, self.config.rounding),
-            otypes=[object],
+        fmt, m = self.config.fmt, self.weight_raws.size
+        x_raws = quantize_batch(features, m, fmt, self.config.rounding)
+        dtype = np.int64 if int64_path_available(fmt, m) else object
+        raws, _, _ = project_batch_raws(
+            x_raws.astype(dtype, copy=False), self.weight_raws, self.threshold_raw, self.config
         )
-        narrowed = narrow(full) if full.size else full
-        prods = self._apply_overflow_object(narrowed, self.config.product_overflow)
-
-        acc = np.zeros(prods.shape[0], dtype=object)
-        for m in range(prods.shape[1]):
-            acc = self._apply_overflow_object(acc + prods[:, m], self.config.overflow)
-        result = self._apply_overflow_object(
-            acc - self.threshold_raw, self.config.overflow
-        )
-        return result.astype(np.int64).astype(np.float64) * fmt.resolution
+        return dequantize_raw(raws, fmt)
 
     def classify_batch(self, features: np.ndarray) -> np.ndarray:
         """Vectorized decisions (1 = class A, 0 = class B)."""
         return (self.project_batch(features) >= 0.0).astype(np.int64)
 
-    def _apply_overflow_object(self, raws: np.ndarray, mode: OverflowMode) -> np.ndarray:
-        fmt = self.config.fmt
-        if mode is OverflowMode.WRAP:
-            half = fmt.modulus >> 1
-            return (raws + half) % fmt.modulus - half
-        if mode is OverflowMode.SATURATE:
-            return np.clip(raws, fmt.min_raw, fmt.max_raw)
-        out_of_range = (raws < fmt.min_raw) | (raws > fmt.max_raw)
-        if np.any(out_of_range):
-            offender = int(np.asarray(raws)[out_of_range].flat[0])
-            apply_overflow_raw(offender, fmt, mode=mode)  # raises
-        return raws
+
+def quantize_batch(
+    features: np.ndarray, num_features: int, fmt: QFormat, rounding: RoundingMode
+) -> np.ndarray:
+    """``(n, M)`` real features, or one length-``M`` vector, as int64 words.
+
+    Quantizes with saturation, as :meth:`FixedPointDatapath.project_traced`
+    does; any other shape raises :class:`~repro.errors.InputValidationError`.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != num_features:
+        raise InputValidationError(f"features must have shape (n, {num_features}), got {x.shape}")
+    return quantize_raw(x, fmt, rounding=rounding, overflow=OverflowMode.SATURATE)
+
+
+def project_batch_raws(
+    x_raws: np.ndarray, weight_raws: np.ndarray, threshold_raw: int, config: DatapathConfig
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The batch datapath kernel: Eq. 12 over ``(n, M)`` in-range raw words.
+
+    The words' dtype picks the arithmetic: int64, exact only when
+    :func:`~repro.fixedpoint.qformat.int64_path_available` holds, or object
+    (unbounded Python ints).  The steps and flags are those of
+    :meth:`FixedPointDatapath.project_traced`.  Returns the ``(n,)``
+    projection raws and the ``(n, M)`` product and accumulator overflow flags.
+    """
+    fmt = config.fmt
+    n, m = x_raws.shape
+    # 1. Full-precision products, narrowed back to QK.F with rounding.
+    full = x_raws * weight_raws.astype(x_raws.dtype, copy=False)[None, :]
+    narrowed = shift_right_rounded_array(full, fmt.fraction_bits, config.rounding)
+    product_overflowed = (narrowed < fmt.min_raw) | (narrowed > fmt.max_raw)
+    prods = _overflow_words(narrowed, fmt, config.product_overflow)
+
+    # 2. Sequential accumulation in QK.F: the overflow policy applies after
+    #    every addition, exactly as the adder chain does.
+    acc = np.zeros(n, dtype=x_raws.dtype)
+    accumulator_overflowed = np.empty((n, m), dtype=bool)
+    for col in range(m):
+        exact_sum = acc + prods[:, col]
+        accumulator_overflowed[:, col] = (exact_sum < fmt.min_raw) | (exact_sum > fmt.max_raw)
+        acc = _overflow_words(exact_sum, fmt, config.overflow)
+
+    # 3. Threshold subtraction.
+    result = _overflow_words(acc - threshold_raw, fmt, config.overflow)
+    return result, product_overflowed, accumulator_overflowed
+
+
+def _overflow_words(raws: np.ndarray, fmt: QFormat, mode: OverflowMode) -> np.ndarray:
+    """Bring kernel words into ``fmt`` under ``mode``, keeping their dtype.
+
+    ``RAISE`` raises ``OverflowModeError`` for the first out-of-range word
+    in C order.  Exact on object words, and on int64 words when
+    ``int64_path_available`` holds: every word then leaves room in 63
+    magnitude bits for the wrap offset.
+    """
+    if mode is OverflowMode.WRAP:
+        half = fmt.modulus >> 1
+        return (raws + half) % fmt.modulus - half
+    if mode is OverflowMode.SATURATE:
+        return np.clip(raws, fmt.min_raw, fmt.max_raw)
+    out_of_range = (raws < fmt.min_raw) | (raws > fmt.max_raw)
+    if np.any(out_of_range):
+        offender = int(raws[out_of_range][0])
+        raise OverflowModeError(fmt.to_real(offender), fmt.min_value, fmt.max_value)
+    return raws

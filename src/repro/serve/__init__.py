@@ -7,9 +7,9 @@ that *serves* them:
 
 - :class:`~repro.serve.engine.BatchInferenceEngine` — vectorized batch
   inference, bit-exact with the per-sample RTL simulator
-  (:class:`~repro.fixedpoint.datapath.FixedPointDatapath`), with an int64
-  fast path, an unbounded-int fallback, and an optional compiled native
-  backend (``backend="native"``, see docs/native_backend.md).
+  (:class:`~repro.fixedpoint.datapath.FixedPointDatapath`): its batch
+  kernel on int64 or, for wide formats, object words, or an optional
+  compiled native backend (``backend="native"``, see docs/native_backend.md).
 - :class:`~repro.serve.registry.ModelRegistry` — validated, content-hashed,
   hot-reloadable model store.
 - :class:`~repro.serve.batcher.MicroBatcher` — asyncio micro-batching

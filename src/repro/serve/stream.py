@@ -55,9 +55,12 @@ from ..signal.filters import design_fir
 from ..signal.fxfir import FixedPointFir
 from ..signal.stream import WindowStream, slice_windows
 from .registry import RegisteredModel
+from .wire import MAX_SAMPLES_PER_FRAME
 
 __all__ = [
     "STREAM_NUM_FEATURES",
+    "MAX_NUM_TAPS",
+    "MAX_WINDOW_SIZE",
     "FrontEndConfig",
     "StreamSession",
     "StreamManager",
@@ -69,6 +72,11 @@ __all__ = [
 #: Width of the per-window feature vector
 #: (:func:`~repro.data.ecg.extract_beat_features`).
 STREAM_NUM_FEATURES = 8
+
+#: Stream-open bounds.  Each chunk runs the session's FIR on the shared
+#: event loop, and the session buffers up to a window of samples.
+MAX_NUM_TAPS = 255
+MAX_WINDOW_SIZE = MAX_SAMPLES_PER_FRAME
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,9 @@ class FrontEndConfig:
             raise InputValidationError(
                 f"sample_rate must be > 0, got {self.sample_rate}"
             )
-        if self.num_taps < 3 or self.num_taps % 2 == 0:
+        if not 3 <= self.num_taps <= MAX_NUM_TAPS or self.num_taps % 2 == 0:
             raise InputValidationError(
-                f"num_taps must be odd and >= 3, got {self.num_taps}"
+                f"num_taps must be odd and in [3, {MAX_NUM_TAPS}], got {self.num_taps}"
             )
         if len(self.band) != 2 or not 0 < self.band[0] < self.band[1]:
             raise InputValidationError(
@@ -111,9 +119,9 @@ class FrontEndConfig:
                 f"guard_bits must be >= 0, got {self.guard_bits}"
             )
         # extract_beat_features needs >= 40 samples per window.
-        if self.window_size < 40:
+        if not 40 <= self.window_size <= MAX_WINDOW_SIZE:
             raise InputValidationError(
-                f"window_size must be >= 40, got {self.window_size}"
+                f"window_size must be in [40, {MAX_WINDOW_SIZE}], got {self.window_size}"
             )
         if self.hop < 1:
             raise InputValidationError(f"hop must be >= 1, got {self.hop}")

@@ -77,6 +77,14 @@ class TestParser:
             )
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["serve", "predict"])
+    def test_removed_object_backend_rejected(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                [command, "--artifact", "a.json", "--backend", "object"]
+            )
+        assert excinfo.value.code == 2
+
     def test_serve_requires_artifact(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])

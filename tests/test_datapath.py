@@ -11,6 +11,8 @@ from repro.conformance.strategies import (
     case_features,
     classifier_cases,
 )
+from repro.core.classifier import FixedPointLinearClassifier
+from repro.errors import InputValidationError
 from repro.fixedpoint.datapath import DatapathConfig, FixedPointDatapath
 from repro.fixedpoint.overflow import OverflowMode
 from repro.fixedpoint.qformat import QFormat
@@ -92,6 +94,17 @@ class TestBatchAgreesWithTraced:
         batch = dp.project_batch(features)
         for row, expected in zip(features, batch):
             assert dp.project(row) == expected
+
+    def test_wrong_width_batch_rejected(self):
+        """A one-column matrix must not broadcast against three weights."""
+        clf = FixedPointLinearClassifier(
+            np.array([0.5, -0.25, 0.75]), 0.0, QFormat(3, 5)
+        )
+        features = np.array([[1.0], [-2.0]])
+        with pytest.raises(InputValidationError, match="shape"):
+            clf.datapath().project_batch(features)
+        with pytest.raises(InputValidationError, match="shape"):
+            clf.predict_bitexact(features)
 
     def test_classify_batch(self, q4_4):
         dp = make_datapath([1.0, -1.0], 0.0, q4_4)

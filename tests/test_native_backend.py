@@ -356,16 +356,11 @@ class TestNativeKernel:
 # --------------------------------------------------------------------- #
 class TestEngineBackendSelection:
     def test_backend_registry_constant(self):
-        assert ENGINE_BACKENDS == ("auto", "object", "native")
+        assert ENGINE_BACKENDS == ("auto", "native")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(InputValidationError, match="unknown backend"):
             BatchInferenceEngine(_classifier(), backend="gpu")
-
-    def test_object_backend_forces_object_path(self):
-        engine = BatchInferenceEngine(_classifier(), backend="object")
-        assert engine.backend == "object"
-        assert not engine.fast_path
 
     def test_auto_backend_keeps_historical_behaviour(self):
         engine = BatchInferenceEngine(_classifier())

@@ -4,7 +4,9 @@ The acceptance criterion for the serving engine is bit-identity with
 :meth:`~repro.fixedpoint.datapath.FixedPointDatapath.project_traced` —
 projection raws, labels, and per-step overflow flags — across randomized
 formats, weights, and rounding modes, **including forced-wrap cases**, on
-both the int64 fast path and the object fallback.
+both the int64 words the engine runs on small formats and the object words
+of wide formats (``object_path`` runs the batch kernel on object words on
+any format).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.oracles import object_words_result
 from repro.conformance.strategies import (
     DETERMINISTIC_ROUNDING_MODES as _DET_MODES,
     random_classifier as _random_classifier,
@@ -21,24 +24,29 @@ from repro.core.classifier import FixedPointLinearClassifier
 from repro.errors import OverflowModeError
 from repro.fixedpoint.overflow import OverflowMode
 from repro.fixedpoint.qformat import QFormat
-from repro.fixedpoint.quantize import quantize
+from repro.fixedpoint.quantize import quantize, quantize_raw
 from repro.fixedpoint.rounding import RoundingMode
 from repro.serve.engine import BatchInferenceEngine, BatchResult, int64_path_available
 
 
-def _engine(classifier, object_path):
-    return BatchInferenceEngine(classifier, backend="object" if object_path else "auto")
+def _run(classifier, features, object_path):
+    if not object_path:
+        return BatchInferenceEngine(classifier).run(features)
+    x_raws = quantize_raw(
+        np.atleast_2d(features), classifier.fmt, rounding=classifier.rounding
+    )
+    return object_words_result(classifier, x_raws)
 
 
 def _assert_engine_matches_datapath(classifier, features, object_path):
-    engine = _engine(classifier, object_path)
-    result = engine.run(features)
+    result = _run(classifier, features, object_path)
     datapath = classifier.datapath()
     for i, sample in enumerate(np.atleast_2d(features)):
         trace = datapath.project_traced(sample)
         assert int(result.projection_raws[i]) == trace.result_raw
         assert list(result.product_overflowed[i]) == trace.product_overflowed
         assert list(result.accumulator_overflowed[i]) == trace.accumulator_overflowed
+        assert int(result.labels[i]) == int(classifier.polarity * trace.result_raw >= 0)
     assert np.array_equal(result.labels, classifier.predict_bitexact(features))
     return result
 
@@ -71,8 +79,7 @@ class TestDifferentialRandomized:
         classifier = FixedPointLinearClassifier(
             weights=np.array([1.0, 1.0, 1.0]), threshold=0.0, fmt=fmt
         )
-        engine = _engine(classifier, object_path)
-        result = engine.run(np.array([[3.0, 3.0, -4.0]]))
+        result = _run(classifier, np.array([[3.0, 3.0, -4.0]]), object_path)
         assert bool(result.accumulator_overflowed[0, 1])  # 3 + 3 wraps...
         assert int(result.projection_raws[0]) == 2  # ...yet the result is exact
         _assert_engine_matches_datapath(
@@ -104,8 +111,8 @@ class TestDifferentialRandomized:
         rng = np.random.default_rng(11)
         classifier = _random_classifier(rng, 4, 4, 6, RoundingMode.NEAREST_AWAY)
         features = rng.uniform(-40, 40, size=(50, 6))
-        fast = BatchInferenceEngine(classifier).run(features)
-        slow = BatchInferenceEngine(classifier, backend="object").run(features)
+        fast = _run(classifier, features, object_path=False)
+        slow = _run(classifier, features, object_path=True)
         assert [int(r) for r in fast.projection_raws] == [
             int(r) for r in slow.projection_raws
         ]
@@ -199,6 +206,7 @@ class TestEngineApi:
 
     def test_describe_names_the_path(self, classifier):
         assert "int64" in BatchInferenceEngine(classifier).describe()
-        assert "object" in BatchInferenceEngine(
-            classifier, backend="object"
-        ).describe()
+        wide = FixedPointLinearClassifier(
+            weights=np.array([0.5, -0.25, 1.0]), threshold=0.125, fmt=QFormat(30, 10)
+        )
+        assert "object" in BatchInferenceEngine(wide).describe()

@@ -41,7 +41,12 @@ from repro.serve import (
     WireClient,
     start_server_thread,
 )
-from repro.serve.stream import FrontEndConfig, run_offline
+from repro.serve.stream import (
+    MAX_NUM_TAPS,
+    MAX_WINDOW_SIZE,
+    FrontEndConfig,
+    run_offline,
+)
 from repro.serve.wire import (
     StreamClosed,
     StreamOpened,
@@ -101,11 +106,18 @@ class TestFrontEndConfig:
             {"guard_bits": -1},
             {"window_size": 39},
             {"hop": 0},
+            {"num_taps": MAX_NUM_TAPS + 2},
+            {"window_size": MAX_WINDOW_SIZE + 1},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InputValidationError):
             FrontEndConfig(**kwargs)
+
+    def test_bounds_are_inclusive(self):
+        assert MAX_NUM_TAPS == 255 and MAX_WINDOW_SIZE == 65_536
+        FrontEndConfig(num_taps=MAX_NUM_TAPS)
+        FrontEndConfig(window_size=MAX_WINDOW_SIZE, hop=1)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InputValidationError):
@@ -417,6 +429,20 @@ class TestHttpStreaming:
         assert "guard_bits" in body["error"]
         assert handle.server.metrics.errors_total == before + 1
 
+    @pytest.mark.parametrize(
+        "config", [{"num_taps": 257}, {"window_size": 65_537, "hop": 1}]
+    )
+    def test_oversized_front_end_is_counted_400(self, http_server, config):
+        handle, _ = http_server
+        before = handle.server.metrics.errors_total
+        status, body = _post_error(
+            f"http://127.0.0.1:{handle.port}/stream/open",
+            {"session": "h6", "model": "ecg", "config": config},
+        )
+        assert status == 400
+        assert next(iter(config)) in body["error"]
+        assert handle.server.metrics.errors_total == before + 1
+
     def test_session_cap_is_structured_503(self, http_server):
         handle, _ = http_server
         base = f"http://127.0.0.1:{handle.port}"
@@ -545,3 +571,18 @@ class TestWireStreaming:
             assert handle.server.metrics.errors_total == before + 1
             assert isinstance(client.open_stream("w5", model="ecg"), StreamOpened)
             assert isinstance(client.close_stream("w5"), StreamClosed)
+
+    @pytest.mark.parametrize(
+        "config", [{"num_taps": 257}, {"window_size": 65_537, "hop": 1}]
+    )
+    def test_oversized_front_end_is_counted_wire_400(self, http_server, config):
+        handle, _ = http_server
+        before = handle.server.metrics.errors_total
+        with WireClient("127.0.0.1", handle.port) as client:
+            reply = client.open_stream("w6", config=config, model="ecg")
+            assert isinstance(reply, WireError)
+            assert reply.status == 400
+            assert next(iter(config)) in reply.message
+            assert handle.server.metrics.errors_total == before + 1
+            assert isinstance(client.open_stream("w6", model="ecg"), StreamOpened)
+            assert isinstance(client.close_stream("w6"), StreamClosed)
