@@ -23,6 +23,7 @@ Registry: :data:`ALL_ORACLES` (ordered cheap-to-expensive) and
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,6 +33,7 @@ from ..errors import CheckError, InputValidationError
 from . import strategies as cst
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..core.problem import LdaFpProblem
     from ..signal.fxfir import FixedPointFir
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "ALL_ORACLES",
     "ORACLES",
     "get_oracle",
+    "constraint_violation_reference",
     "fxfir_reference",
     "object_words_result",
 ]
@@ -373,6 +376,43 @@ class CertifierReplayOracle(Oracle):
 # --------------------------------------------------------------------- #
 # 5. Presolve/cuts-accelerated solver vs the plain solver and brute force
 # --------------------------------------------------------------------- #
+def constraint_violation_reference(problem: "LdaFpProblem", weights: np.ndarray) -> float:
+    """The exact Eq. 18 + Eq. 20 + Eq. 28 check of one weight vector, term by term.
+
+    The reference :meth:`~repro.core.problem.LdaFpProblem.constraint_violations`
+    is held to: each class's per-feature product interval
+    ``w mu +- beta |w| sigma`` (Eq. 18) and projection interval
+    ``w' mu +- beta ||L' w||`` (Eq. 20) against ``[value_lo, value_hi]``,
+    and the weights' own range (Eq. 28), folded into the largest violation
+    (<= 0 feasible) one scalar at a time.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    beta = problem.beta
+    lo, hi = problem.value_lo, problem.value_hi
+    worst = -np.inf
+
+    for cls in (problem.stats.class_a, problem.stats.class_b):
+        mu, sigma = cls.mean, cls.std
+        upper = w * mu + beta * np.abs(w) * sigma
+        lower = w * mu - beta * np.abs(w) * sigma
+        worst = max(worst, float(np.max(upper - hi)))
+        worst = max(worst, float(np.max(lo - lower)))
+
+    for cls, chol in (
+        (problem.stats.class_a, problem._chol_a),
+        (problem.stats.class_b, problem._chol_b),
+    ):
+        center = float(w @ cls.mean)
+        spread = beta * float(np.linalg.norm(chol.T @ w))
+        worst = max(worst, (center + spread) - hi)
+        worst = max(worst, lo - (center - spread))
+
+    # Box membership of the weights themselves (Eq. 28).
+    worst = max(worst, float(np.max(w - problem.value_hi)))
+    worst = max(worst, float(np.max(problem.value_lo - w)))
+    return worst
+
+
 def _solver_instance(seed: int):
     """A small deterministic LDA-FP instance (dataset, format) from a seed."""
     from ..data.dataset import Dataset
@@ -392,7 +432,11 @@ class PresolveVsPlainOracle(Oracle):
     symmetry cuts, guided branching) must be result-neutral: on exact-gap
     proven runs, the accelerated solver returns the identical
     ``(cost, lower_bound, proven_optimal)`` triple as the plain solver,
-    and both match the brute-force grid optimum."""
+    and both match the brute-force grid optimum.  The brute force takes
+    feasibility from :func:`constraint_violation_reference`, and the
+    batched check the solver runs must match that reference on every grid
+    row: the same verdict at ``1e-9`` and values within
+    ``1e-12 * max(1, |ref|)``."""
 
     name = "presolve_vs_plain"
     description = (
@@ -444,10 +488,33 @@ class PresolveVsPlainOracle(Oracle):
         quantized = dataset.map_features(lambda x: np.asarray(quantize(x, fmt)))
         stats = estimate_two_class_stats(quantized.class_a, quantized.class_b)
         problem = LdaFpProblem(stats=stats, fmt=fmt, rho=0.99)
+        # Brute-force feasibility comes from the scalar reference; the
+        # batched check the solver uses must agree with it on every grid row.
+        grid = np.array(list(itertools.product(*[fmt.grid()] * problem.num_features)))
+        want = np.array([constraint_violation_reference(problem, w) for w in grid])
+        got = problem.constraint_violations(grid)
+        flipped = np.flatnonzero((got <= 1e-9) != (want <= 1e-9))
+        if flipped.size:
+            self.fail(
+                f"batched check verdict differs from the reference at grid row "
+                f"{grid[flipped[0]].tolist()}: {float(got[flipped[0]])!r} vs "
+                f"{float(want[flipped[0]])!r}",
+                case,
+            )
+        drift = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        if not np.all(drift <= 1e-12):
+            row = int(np.argmax(drift))
+            self.fail(
+                f"batched check value {float(got[row])!r} != reference "
+                f"{float(want[row])!r} "
+                f"at grid row {grid[row].tolist()}",
+                case,
+            )
+        feasible = {w.tobytes() for w in grid[want <= 1e-9]}
         brute = brute_force_minimize(
             [fmt.grid()] * problem.num_features,
             cost=problem.cost,
-            feasible=lambda w: problem.constraint_violation(w) <= 1e-9,
+            feasible=lambda w: w.tobytes() in feasible,
         )
         if abs(results["plain"][0] - brute.cost) > 1e-9 * max(1.0, abs(brute.cost)):
             self.fail(

@@ -377,8 +377,27 @@ def waveform_cases(
     per-sample loop) and biquad, the float FIR / biquad cascade (power-line
     notch), the decimator, and the hop-strided windower.  Everything is plain JSON so
     a shrunk failing partition replays from a witness file.
+
+    A second branch draws long filters, odd 127 to ``MAX_NUM_TAPS`` (255)
+    taps over 130-200 samples: a FIR kernel block then holds 64-129
+    outputs, so every such case crosses at least one block edge.
     """
-    n = draw(st.integers(min_value=min_samples, max_value=max_samples))
+    from ..serve.stream import MAX_NUM_TAPS
+
+    n, num_taps = draw(
+        st.one_of(
+            st.tuples(
+                st.integers(min_value=min_samples, max_value=max_samples),
+                st.integers(min_value=1, max_value=7).map(lambda k: 2 * k + 1),
+            ),
+            st.tuples(
+                st.integers(min_value=130, max_value=200),
+                st.integers(min_value=63, max_value=MAX_NUM_TAPS // 2).map(
+                    lambda k: 2 * k + 1
+                ),
+            ),
+        )
+    )
     # Narrow formats, plus wide ones (W 28..44) straddling the FIR
     # kernel's int64 rule, 2W + ceil(log2 taps) <= 63, so both of its
     # dtypes are fuzzed.  Wide formats draw samples up to full scale, so
@@ -394,7 +413,6 @@ def waveform_cases(
         )
     )
     fmt = QFormat(k, f)
-    num_taps = draw(st.integers(min_value=1, max_value=7)) * 2 + 1  # odd 3..15
     sample_rate = draw(st.sampled_from([200.0, 250.0, 360.0, 500.0]))
     return {
         "kind": "waveform",

@@ -24,7 +24,6 @@ report.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -357,16 +356,21 @@ class LdaFpNodeProblem:
         trials: List[np.ndarray] = [np.asarray(quantize(base, self.problem.fmt))]
         if self.config.scale_sweep:
             trials.extend(scale_sweep_candidates(self.problem, base))
-        out: List[Candidate] = []
-        for trial in trials:
-            key = trial.tobytes()
+        rows = np.array(trials)
+        fresh = []
+        for k, nonzero in enumerate(rows.any(axis=1)):
+            key = rows[k].tobytes()
             if key in self._seen_candidates:
                 continue
             self._seen_candidates.add(key)
-            if not np.any(trial):
-                continue
-            if self.problem.constraint_violation(trial) > _FEAS_TOL:
-                continue
+            if nonzero:
+                fresh.append(k)
+        if not fresh:
+            return []
+        rows = rows[fresh]
+        feasible = self.problem.constraint_violations(rows) <= _FEAS_TOL
+        out: List[Candidate] = []
+        for trial in rows[feasible]:
             cost = self.problem.cost(trial)
             if not np.isfinite(cost):
                 continue
@@ -436,15 +440,14 @@ class LdaFpNodeProblem:
     def resolve_terminal(self, box: Box) -> Iterable[Candidate]:
         m = self.problem.num_features
         grids = [box.grid_values(dim) for dim in range(m)]
+        # The Cartesian product over the (small) terminal grid as one
+        # matrix, in itertools.product order; the size cap is guaranteed by
+        # is_terminal.
+        rows = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, m)
+        rows = rows[np.any(rows, axis=1)]
+        feasible = self.problem.constraint_violations(rows) <= _FEAS_TOL
         out: List[Candidate] = []
-        # Cartesian product over the (small) terminal grid; the size cap is
-        # guaranteed by is_terminal.
-        for combo in itertools.product(*grids):
-            w = np.array(combo)
-            if not np.any(w):
-                continue
-            if self.problem.constraint_violation(w) > _FEAS_TOL:
-                continue
+        for w in rows[feasible]:
             cost = self.problem.cost(w)
             if np.isfinite(cost):
                 out.append(Candidate(x=w, cost=cost))
@@ -497,9 +500,11 @@ def _warm_start_candidate(
         norm = float(np.linalg.norm(raw))
         if norm == 0.0 or not np.isfinite(norm):
             continue
-        for candidate in scale_sweep_candidates(problem, raw / norm):
-            if problem.constraint_violation(candidate) > _FEAS_TOL:
-                continue
+        ladder = scale_sweep_candidates(problem, raw / norm)
+        if not ladder:
+            continue
+        rows = np.array(ladder)
+        for candidate in rows[problem.constraint_violations(rows) <= _FEAS_TOL]:
             cost = problem.cost(candidate)
             if np.isfinite(cost) and (best is None or cost < best.cost):
                 best = Candidate(x=candidate, cost=cost)

@@ -63,15 +63,16 @@ def coordinate_descent(
     for _ in range(max_sweeps):
         improved = False
         for i in range(w.size):
-            candidates = nearest_grid_neighbors(float(w[i]), problem.fmt, radius=radius)
+            values = nearest_grid_neighbors(float(w[i]), problem.fmt, radius=radius)
+            values = values[values != w[i]]
+            # This coordinate's moves as one matrix: row j is w with
+            # w[i] = values[j].  Coordinates stay sequential because an
+            # accepted move changes w.
+            trials = np.repeat(w[None, :], values.size, axis=0)
+            trials[:, i] = values
+            feasible = problem.constraint_violations(trials) <= 1e-9
             best_move = None
-            for value in candidates:
-                if value == w[i]:
-                    continue
-                trial = w.copy()
-                trial[i] = value
-                if problem.constraint_violation(trial) > 1e-9:
-                    continue
+            for value, trial in zip(values[feasible], trials[feasible]):
                 cost = problem.cost(trial)
                 if cost < best_cost - 1e-15 and (
                     best_move is None or cost < best_move[0]
@@ -113,38 +114,42 @@ def scale_sweep_candidates(
     lo_scale = fmt.resolution / peak
     hi_scale = fmt.max_value / peak
     if hi_scale <= lo_scale:
-        scales = [hi_scale]
+        scales = np.array([hi_scale])
     else:
-        scales = list(np.geomspace(lo_scale, hi_scale, num=num_scales))
+        scales = np.geomspace(lo_scale, hi_scale, num=num_scales)
 
     out: "list[np.ndarray]" = []
     seen: "set[bytes]" = set()
 
-    def add(scale: float) -> "tuple[float, np.ndarray] | None":
-        best_here = None
-        for sign in (1.0, -1.0):
-            candidate = np.asarray(quantize(sign * scale * d, fmt))
-            if not np.any(candidate):
-                continue
-            key = candidate.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(candidate)
-            if problem.constraint_violation(candidate) <= 1e-9:
-                cost = problem.cost(candidate)
-                if np.isfinite(cost) and (best_here is None or cost < best_here[0]):
-                    best_here = (cost, candidate)
-        return best_here
+    def add(ladder: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Round the ladder as one matrix, in ``(scale, +), (scale, -)`` order.
 
-    best_scale = None
-    best_cost = np.inf
-    for scale in scales:
-        result = add(float(scale))
-        if result is not None and result[0] < best_cost:
-            best_cost, best_scale = result[0], float(scale)
+        Keeps each nonzero rounding not seen before; returns the kept rows
+        and the scale each came from.
+        """
+        mults = np.stack([ladder, -ladder], axis=1).ravel()
+        rows = np.asarray(quantize(mults[:, None] * d, fmt))
+        kept = []
+        for k in np.flatnonzero(rows.any(axis=1)):
+            key = rows[k].tobytes()
+            if key not in seen:
+                seen.add(key)
+                kept.append(k)
+        rows = rows[kept]
+        out.extend(rows)
+        return rows, ladder[np.asarray(kept, dtype=np.intp) // 2]
 
-    if refine and best_scale is not None:
-        for scale in np.linspace(best_scale / 1.4, min(best_scale * 1.4, hi_scale), 24):
-            add(float(scale))
+    coarse, coarse_scales = add(scales)
+    if refine:
+        # The first feasible row in ladder order with the lowest finite
+        # cost picks the scale the finer ladder is centred on.
+        best_scale = None
+        best_cost = np.inf
+        feasible = problem.constraint_violations(coarse) <= 1e-9
+        for row, scale in zip(coarse[feasible], coarse_scales[feasible]):
+            cost = problem.cost(row)
+            if np.isfinite(cost) and cost < best_cost:
+                best_cost, best_scale = cost, float(scale)
+        if best_scale is not None:
+            add(np.linspace(best_scale / 1.4, min(best_scale * 1.4, hi_scale), 24))
     return out

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import OptimizationError
+from ..errors import InputValidationError, OptimizationError
 from ..fixedpoint.qformat import QFormat
 from ..fixedpoint.quantize import quantize
 from ..linalg.cholesky import cholesky
@@ -98,6 +98,14 @@ class LdaFpProblem:
         self._chol_b = cholesky(
             nearest_psd(self.stats.class_b.covariance, floor=self.psd_floor)
         )
+        # (mean, std, Cholesky factor) per class, for the exact checks.
+        self._class_terms = tuple(
+            (cls.mean, cls.std, chol)
+            for cls, chol in (
+                (self.stats.class_a, self._chol_a),
+                (self.stats.class_b, self._chol_b),
+            )
+        )
 
     # ------------------------------------------------------------------ #
     @property
@@ -130,33 +138,51 @@ class LdaFpProblem:
     def constraint_violation(self, weights: np.ndarray) -> float:
         """Largest violation of the Eq. 18 + Eq. 20 constraints (<= 0 feasible).
 
-        Evaluated exactly (with ``|w|`` and the square root), not through
-        the linearized relaxation rows.
+        The one-row call of :meth:`constraint_violations`; ``weights`` must
+        have shape ``(M,)``.
         """
         w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (self.num_features,):
+            raise InputValidationError(
+                f"weights have shape {w.shape}, expected ({self.num_features},)"
+            )
+        return float(self.constraint_violations(w[None, :])[0])
+
+    def constraint_violations(self, weights: np.ndarray) -> np.ndarray:
+        """Largest Eq. 18 + Eq. 20 + Eq. 28 violation of every row (<= 0 feasible).
+
+        ``weights`` is an ``(n, M)`` matrix of candidates; the result has
+        shape ``(n,)``.  Evaluated exactly (with ``|w|`` and the square
+        root), not through the linearized relaxation rows: the Eq. 18
+        product intervals elementwise, and the Eq. 20 spread as the row
+        norms of one product with each class's Cholesky factor.
+        """
+        W = np.asarray(weights, dtype=np.float64)
+        m = self.num_features
+        if W.ndim != 2 or W.shape[1] != m:
+            raise InputValidationError(
+                f"candidate matrix has shape {W.shape}, expected (n, {m})"
+            )
         beta = self.beta
         lo, hi = self.value_lo, self.value_hi
-        worst = -np.inf
+        scaled_abs = beta * np.abs(W)
 
-        for cls in (self.stats.class_a, self.stats.class_b):
-            mu, sigma = cls.mean, cls.std
-            upper = w * mu + beta * np.abs(w) * sigma
-            lower = w * mu - beta * np.abs(w) * sigma
-            worst = max(worst, float(np.max(upper - hi)))
-            worst = max(worst, float(np.max(lo - lower)))
+        # Box membership of the weights themselves (Eq. 28), then the
+        # per-feature product intervals (Eq. 18).
+        worst = np.maximum(W - hi, lo - W)
+        for mu, sigma, _ in self._class_terms:
+            center = W * mu
+            half = scaled_abs * sigma
+            np.maximum(worst, (center + half) - hi, out=worst)
+            np.maximum(worst, lo - (center - half), out=worst)
+        worst = worst.max(axis=1)
 
-        for cls, chol in (
-            (self.stats.class_a, self._chol_a),
-            (self.stats.class_b, self._chol_b),
-        ):
-            center = float(w @ cls.mean)
-            spread = beta * float(np.linalg.norm(chol.T @ w))
-            worst = max(worst, (center + spread) - hi)
-            worst = max(worst, lo - (center - spread))
-
-        # Box membership of the weights themselves (Eq. 28).
-        worst = max(worst, float(np.max(w - self.value_hi)))
-        worst = max(worst, float(np.max(self.value_lo - w)))
+        # Projection intervals (Eq. 20): row i of W @ chol is chol' w_i.
+        for mu, _, chol in self._class_terms:
+            center = W @ mu
+            spread = beta * np.linalg.norm(W @ chol, axis=1)
+            np.maximum(worst, (center + spread) - hi, out=worst)
+            np.maximum(worst, lo - (center - spread), out=worst)
         return worst
 
     def is_feasible(self, weights: np.ndarray, tol: float = 1e-9) -> bool:

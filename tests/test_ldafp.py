@@ -6,18 +6,22 @@ must return exactly the brute-force global optimum of the Eq. 21 program.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.conformance.oracles import constraint_violation_reference
 from repro.core.classifier import FixedPointLinearClassifier
-from repro.core.ldafp import LdaFpConfig, LdaFpNodeProblem, train_lda_fp
+from repro.core.ldafp import LdaFpConfig, LdaFpNodeProblem, _adjust_stats, train_lda_fp
 from repro.core.problem import LdaFpProblem
 from repro.data.gaussian import GaussianClassModel, TwoClassGaussianModel
 from repro.data.synthetic import make_synthetic_dataset
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.quantize import quantize
+from repro.optim.boxes import Box
 from repro.optim.bruteforce import brute_force_minimize
-from repro.stats.scatter import estimate_two_class_stats
+from repro.stats.scatter import ClassStats, TwoClassStats, estimate_two_class_stats
 
 
 def tight_config(**kwargs) -> LdaFpConfig:
@@ -284,3 +288,81 @@ class TestNodeProblem:
         for candidate in node_problem.candidates(root, relaxation):
             assert problem.is_feasible(candidate.x)
             assert np.isfinite(candidate.cost)
+
+
+def reference_resolve_terminal(problem: LdaFpProblem, box: Box) -> list:
+    """The terminal grid one point at a time, checked by the scalar reference."""
+    grids = [box.grid_values(dim) for dim in range(problem.num_features)]
+    out = []
+    for combo in itertools.product(*grids):
+        w = np.array(combo)
+        if not np.any(w):
+            continue
+        if constraint_violation_reference(problem, w) > 1e-9:
+            continue
+        cost = problem.cost(w)
+        if np.isfinite(cost):
+            out.append((w, cost))
+    return out
+
+
+def weight_box(problem: LdaFpProblem, lo, hi) -> Box:
+    """A node box over ``(w, t)`` with the given ``w`` bounds."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    t_lo, t_hi = problem.linear_image(lo, hi)
+    m = problem.num_features
+    return Box(
+        lo=np.concatenate([lo, [t_lo]]),
+        hi=np.concatenate([hi, [t_hi]]),
+        steps=np.concatenate([np.full(m, problem.fmt.resolution), [0.0]]),
+    )
+
+
+def toy_terminal_case():
+    mean_a = np.array([0.4, 0.0])
+    cov = np.eye(2) * 0.09
+    stats = TwoClassStats(
+        class_a=ClassStats(mean_a, cov, 100),
+        class_b=ClassStats(-mean_a, cov, 100),
+        within_scatter=cov,
+        mean_difference=2 * mean_a,
+    )
+    problem = LdaFpProblem(stats=stats, fmt=QFormat(2, 3), rho=0.99)
+    # Holds the zero row and rows past the Eq. 18 limit |w_0| <= 1.6.
+    return problem, weight_box(problem, [-0.5, -0.25], [1.875, 0.25])
+
+
+def q23_terminal_case():
+    """The pinned Q2.3 case, on a corner box where the projection rows bind."""
+    from repro.data.scaling import FeatureScaler
+
+    fmt = QFormat(2, 3)
+    ds = make_synthetic_dataset(1000, seed=0)
+    ds = ds.map_features(FeatureScaler(limit=0.9).fit(ds.features).transform)
+    ds = ds.map_features(lambda x: np.asarray(quantize(x, fmt)))
+    stats = _adjust_stats(estimate_two_class_stats(*ds.class_arrays()), fmt, LdaFpConfig())
+    problem = LdaFpProblem(stats=stats, fmt=fmt, rho=0.99)
+    return problem, weight_box(problem, [-2.0, -2.0, 1.375], [-1.5, -1.5, 1.875])
+
+
+class TestResolveTerminal:
+    @pytest.mark.parametrize("case", [toy_terminal_case, q23_terminal_case])
+    def test_matches_per_candidate_reference(self, case):
+        problem, box = case()
+        node_problem = LdaFpNodeProblem(problem, LdaFpConfig())
+        assert node_problem.is_terminal(box)
+        got = list(node_problem.resolve_terminal(box))
+        want = reference_resolve_terminal(problem, box)
+        grid_size = int(np.prod([box.grid_count(d) for d in range(problem.num_features)]))
+        # The box holds both feasible and infeasible points.
+        assert 0 < len(want) < grid_size
+        assert len(got) == len(want)
+        for candidate, (w, cost) in zip(got, want):
+            assert np.array_equal(candidate.x, w)
+            assert candidate.cost == cost
+
+    def test_empty_grid_dimension_yields_nothing(self):
+        problem, _ = toy_terminal_case()
+        box = weight_box(problem, [0.26, 0.0], [0.27, 0.25])  # no grid point in w_0
+        node_problem = LdaFpNodeProblem(problem, LdaFpConfig())
+        assert list(node_problem.resolve_terminal(box)) == []

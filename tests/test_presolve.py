@@ -403,3 +403,23 @@ class TestPinnedSearch:
         assert report.symmetry_pruned == 2
         assert report.proven_optimal
         assert report.cost == report.lower_bound == 0.6003187630006743
+
+    def test_pinned_q23_plain_search(self):
+        """The same case without presolve or symmetry cuts (the plain arm
+        of the legacy node-reduction benchmark): 377 nodes to the same
+        proven optimum."""
+        from repro.core.ldafp import LdaFpConfig, train_lda_fp
+        from repro.data.scaling import FeatureScaler
+        from repro.data.synthetic import make_synthetic_dataset
+
+        ds = make_synthetic_dataset(1000, seed=0)
+        ds = ds.map_features(FeatureScaler(limit=0.9).fit(ds.features).transform)
+        config = LdaFpConfig(
+            max_nodes=20_000, time_limit=None, relative_gap=1e-6,
+            presolve=False, symmetry_cuts=False,
+        )
+        _, report = train_lda_fp(ds, QFormat(2, 3), config)
+        assert report.nodes_expanded == 377
+        assert report.symmetry_pruned == 0
+        assert report.proven_optimal
+        assert report.cost == report.lower_bound == 0.6003187630006743

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.conformance.oracles import constraint_violation_reference
 from repro.core.problem import LdaFpProblem, eta_inf, eta_sup
-from repro.errors import OptimizationError
+from repro.errors import InputValidationError, OptimizationError
 from repro.fixedpoint.qformat import QFormat
 from repro.stats.scatter import ClassStats, TwoClassStats
 
@@ -113,6 +114,103 @@ class TestDiscreteChecks:
         )
         problem = LdaFpProblem(stats=stats, fmt=QFormat(2, 2), rho=0.99)
         assert problem.constraint_violation(np.array([1.0, 1.0])) > 0.0
+
+
+def correlated_problem() -> LdaFpProblem:
+    """Q2.2, 3 features: 0 and 1 strongly correlated, 2 nearly constant.
+
+    The correlation lets ``w = (1.5, -1.5, 0)`` break only the per-feature
+    rows (Eq. 18) and ``w = (1, 1, 0)`` only the projection (Eq. 20); the
+    small third feature lets ``w = (0, 0, 2)`` break only the range.
+    """
+    mean_a = np.array([0.05, 0.0, 0.0])
+    cov = np.array([[0.25, 0.225, 0.0], [0.225, 0.25, 0.0], [0.0, 0.0, 0.0025]])
+    stats = TwoClassStats(
+        class_a=ClassStats(mean_a, cov, 100),
+        class_b=ClassStats(-mean_a, cov, 100),
+        within_scatter=cov,
+        mean_difference=2 * mean_a,
+    )
+    return LdaFpProblem(stats=stats, fmt=QFormat(2, 2), rho=0.99)
+
+
+def violation_parts(problem: LdaFpProblem, w: np.ndarray) -> "tuple[float, float, float]":
+    """(Eq. 18, Eq. 20, Eq. 28) largest violations of one row, by hand."""
+    lo, hi, beta = problem.value_lo, problem.value_hi, problem.beta
+    eq18 = eq20 = -np.inf
+    for cls, chol in (
+        (problem.stats.class_a, problem._chol_a),
+        (problem.stats.class_b, problem._chol_b),
+    ):
+        for i in range(w.size):
+            half = beta * abs(w[i]) * cls.std[i]
+            eq18 = max(eq18, w[i] * cls.mean[i] + half - hi, lo - (w[i] * cls.mean[i] - half))
+        center = float(w @ cls.mean)
+        spread = beta * float(np.sqrt(w @ cls.covariance @ w))
+        eq20 = max(eq20, center + spread - hi, lo - (center - spread))
+    box = max(float(np.max(w - hi)), float(np.max(lo - w)))
+    return eq18, eq20, box
+
+
+class TestBatchedCheck:
+    """``constraint_violations`` against the scalar reference, row by row."""
+
+    def assert_matches_reference(self, problem, rows):
+        got = problem.constraint_violations(rows)
+        assert got.shape == (len(rows),)
+        for w, value in zip(rows, got):
+            want = constraint_violation_reference(problem, w)
+            assert (value <= 1e-9) == (want <= 1e-9)
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+            one_row = problem.constraint_violation(w)
+            assert abs(one_row - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_each_constraint_alone(self):
+        problem = correlated_problem()
+        lo, hi = problem.value_lo, problem.value_hi
+        rows = np.array(
+            [
+                [1.5, -1.5, 0.0],  # Eq. 18 only
+                [1.0, 1.0, 0.0],  # Eq. 20 only
+                [0.0, 0.0, 2.0],  # the range (Eq. 28) only
+                [0.0, 0.0, 0.0],
+                [0.0, 0.0, lo],
+                [0.0, 0.0, hi],
+            ]
+        )
+        parts = [violation_parts(problem, w) for w in rows]
+        assert [tuple(p > 0 for p in part) for part in parts] == [
+            (True, False, False),
+            (False, True, False),
+            (False, False, True),
+            (False, False, False),
+            (False, False, False),
+            (False, False, False),
+        ]
+        # The range edges are feasible with the range row exactly tight.
+        assert parts[4][2] == parts[5][2] == 0.0
+        self.assert_matches_reference(problem, rows)
+        got = problem.constraint_violations(rows)
+        assert np.all(got[:3] > 0) and np.all(got[3:] <= 0)
+
+    def test_whole_grid(self, problem):
+        grid = problem.fmt.grid()
+        rows = np.array([[a, b] for a in grid for b in grid])
+        self.assert_matches_reference(problem, rows)
+
+    def test_empty_matrix(self, problem):
+        out = problem.constraint_violations(np.empty((0, 2)))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 1), (2, 2, 2), ()])
+    def test_batched_rejects_shape(self, problem, shape):
+        with pytest.raises(InputValidationError):
+            problem.constraint_violations(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3,), (1,), (1, 2), (2, 2), ()])
+    def test_one_row_rejects_shape(self, problem, shape):
+        with pytest.raises(InputValidationError):
+            problem.constraint_violation(np.zeros(shape))
 
 
 class TestRootBox:
